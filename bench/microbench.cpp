@@ -57,23 +57,16 @@ void BM_SimulatorCascade(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorCascade)->Arg(1'000)->Arg(10'000);
 
-// --- event queue: timer wheel vs binary heap -------------------------------
-// Steady-state schedule/fire churn on the raw queues at a fixed pending-set
+// --- event queue: timer wheel ------------------------------------------------
+// Steady-state schedule/fire churn on the raw queue at a fixed pending-set
 // size: pop the earliest event, schedule a replacement. This isolates the
-// queue data structure (arg 1: 0 = binary heap reference, 1 = timer wheel)
-// from the rest of the kernel; the heap pays an O(log n) sift per op while
-// the wheel pays O(1) bucket filing plus amortized slot drains.
+// queue data structure from the rest of the kernel: O(1) bucket filing
+// plus amortized slot drains per op.
 
 void BM_EventQueue(benchmark::State& state) {
   const std::size_t pending = static_cast<std::size_t>(state.range(0));
-  const bool use_wheel = state.range(1) != 0;
   sim::FlatIdSet live;
-  std::unique_ptr<sim::EventQueue> queue;
-  if (use_wheel) {
-    queue = std::make_unique<sim::TimerWheelQueue>(live);
-  } else {
-    queue = std::make_unique<sim::BinaryHeapQueue>(live);
-  }
+  sim::TimerWheelQueue queue(live);
   std::mt19937_64 rng(12345);
   const sim::Duration horizon = 10'000'000;  // 10 s spread
   sim::Time now = 0;
@@ -81,53 +74,44 @@ void BM_EventQueue(benchmark::State& state) {
   for (std::size_t i = 0; i < pending; ++i) {
     const sim::EventId id = next_id++;
     live.insert(id);
-    queue->push(now + rng() % horizon, id, sim::EventFn([] {}));
+    queue.push(now + rng() % horizon, id, sim::EventFn([] {}));
   }
   sim::QueueEntry out;
   for (auto _ : state) {
-    queue->pop_next(~sim::Time{0}, out);
+    queue.pop_next(~sim::Time{0}, out);
     live.erase(out.id);
     now = out.when;
     const sim::EventId id = next_id++;
     live.insert(id);
-    queue->push(now + rng() % horizon, id, sim::EventFn([] {}));
+    queue.push(now + rng() % horizon, id, sim::EventFn([] {}));
     benchmark::DoNotOptimize(out.id);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(use_wheel ? "wheel" : "heap");
 }
-BENCHMARK(BM_EventQueue)
-    ->ArgsProduct({{1'000, 100'000, 1'000'000}, {0, 1}});
+BENCHMARK(BM_EventQueue)->Arg(1'000)->Arg(100'000)->Arg(1'000'000);
 
 // Steady-state cancel churn: schedule far-future events and cancel them,
 // the monitoring-timeout pattern (arm a watchdog, cancel it when the reply
 // arrives). Exercises FlatIdSet membership and lazy-compaction.
 void BM_EventQueueCancel(benchmark::State& state) {
-  const bool use_wheel = state.range(0) != 0;
   sim::FlatIdSet live;
-  std::unique_ptr<sim::EventQueue> queue;
-  if (use_wheel) {
-    queue = std::make_unique<sim::TimerWheelQueue>(live);
-  } else {
-    queue = std::make_unique<sim::BinaryHeapQueue>(live);
-  }
+  sim::TimerWheelQueue queue(live);
   sim::EventId next_id = 1;
   for (auto _ : state) {
     const sim::EventId id = next_id++;
     live.insert(id);
-    queue->push(sim::Time{next_id} + 1'000'000, id, sim::EventFn([] {}));
+    queue.push(sim::Time{next_id} + 1'000'000, id, sim::EventFn([] {}));
     live.erase(id);
-    queue->note_cancelled();
-    benchmark::DoNotOptimize(queue->stored());
+    queue.note_cancelled();
+    benchmark::DoNotOptimize(queue.stored());
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(use_wheel ? "wheel" : "heap");
 }
-BENCHMARK(BM_EventQueueCancel)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueCancel);
 
 // End-to-end dispatch through the Simulator: a thousand self-rescheduling
 // chains (the periodic-work shape chaos_soak runs at scale), measured as
-// executed events per wall second. arg: 0 = binary heap, 1 = timer wheel.
+// executed events per wall second.
 
 void arm_bench_chain(sim::Simulator& simulator, sim::Duration period) {
   simulator.schedule(period, [&simulator, period] {
@@ -136,13 +120,12 @@ void arm_bench_chain(sim::Simulator& simulator, sim::Duration period) {
 }
 
 void BM_Dispatch(benchmark::State& state) {
-  sim::Simulator simulator(state.range(0) != 0 ? sim::Simulator::QueueImpl::timer_wheel
-                                               : sim::Simulator::QueueImpl::binary_heap);
+  sim::Simulator simulator;
   std::mt19937_64 rng(777);
   for (int i = 0; i < 1'000; ++i) {
     arm_bench_chain(simulator, 500 + rng() % 50'000);
   }
-  simulator.run_for(sim::seconds(1.0));  // warm slot vectors / heap capacity
+  simulator.run_for(sim::seconds(1.0));  // warm slot vectors
   std::uint64_t executed = simulator.events_executed();
   for (auto _ : state) {
     simulator.run_for(sim::milliseconds(100));
@@ -150,9 +133,8 @@ void BM_Dispatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(simulator.events_executed() - executed));
-  state.SetLabel(state.range(0) != 0 ? "wheel" : "heap");
 }
-BENCHMARK(BM_Dispatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_Dispatch);
 
 void BM_SimulatorCancel(benchmark::State& state) {
   for (auto _ : state) {
@@ -301,20 +283,15 @@ void BM_DecodeDaemonMessage(benchmark::State& state) {
 BENCHMARK(BM_DecodeDaemonMessage);
 
 // Records one deterministic pass of the kernel workloads into `metrics`.
-// The binary-heap queue's throughput shows up as `events_per_sec` (the
-// old std::map queue managed roughly a third of it on the same workload);
-// the cancel workload documents lazy cancellation: O(1) erase, stale
-// entries compacted away once they outnumber live ones 4:1.
+// The schedule/run workload's event count is deterministic (headline);
+// its wall-clock throughput shows up as `events_per_sec` (info). The
+// cancel workload documents lazy cancellation: O(1) erase, stale entries
+// compacted away once they dominate.
 void record_kernel_metrics(obs::Registry& metrics) {
-  // The schedule/run workload runs once per queue implementation. The
-  // event counts are deterministic and identical (the wheel's ordering
-  // contract); only the wall-clock throughput differs, recorded under
-  // `events_per_sec` (timer wheel, the default) and `heap_events_per_sec`.
-  for (const bool use_wheel : {true, false}) {
+  {
     constexpr int kEvents = 100'000;
     const auto wall_start = std::chrono::steady_clock::now();
-    sim::Simulator simulator(use_wheel ? sim::Simulator::QueueImpl::timer_wheel
-                                       : sim::Simulator::QueueImpl::binary_heap);
+    sim::Simulator simulator;
     for (int i = 0; i < kEvents; ++i) {
       simulator.schedule(sim::milliseconds(i % 1000), [] {});
     }
@@ -323,15 +300,11 @@ void record_kernel_metrics(obs::Registry& metrics) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    if (use_wheel) {
-      metrics.counter("sim.kernel.schedule_run_events")
-          .inc(simulator.events_executed());
-      metrics.gauge("sim.kernel.schedule_run_wall_s").set(wall_s);
-      if (wall_s > 0) {
-        metrics.gauge("sim.kernel.events_per_sec").set(kEvents / wall_s);
-      }
-    } else if (wall_s > 0) {
-      metrics.gauge("sim.kernel.heap_events_per_sec").set(kEvents / wall_s);
+    metrics.counter("sim.kernel.schedule_run_events")
+        .inc(simulator.events_executed());
+    metrics.gauge("sim.kernel.schedule_run_wall_s").set(wall_s);
+    if (wall_s > 0) {
+      metrics.gauge("sim.kernel.events_per_sec").set(kEvents / wall_s);
     }
   }
   {
@@ -382,8 +355,6 @@ int main(int argc, char** argv) {
       metrics.gauge("sim.kernel.schedule_run_wall_s").value();
   report.info["events_per_sec"] =
       metrics.gauge("sim.kernel.events_per_sec").value();
-  report.info["heap_events_per_sec"] =
-      metrics.gauge("sim.kernel.heap_events_per_sec").value();
   obs::dump_bench_report_if_requested(report, &metrics);
 
   obs::dump_if_requested(metrics);

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "proto/daemon.hpp"
-#include "transport/sim_transport.hpp"
 #include "util/log.hpp"
 #include "obs/prof.hpp"
 
@@ -48,17 +47,6 @@ Daemon::Daemon(transport::Transport& transport, DeviceId self,
   g_table_staleness_ = &registry.gauge(prefix + "table_staleness_us");
   h_discovery_ = &registry.histogram(prefix + "discovery_us");
 }
-
-Daemon::Daemon(std::unique_ptr<transport::Transport> owned, DeviceId self,
-               std::string device_name, DaemonConfig config)
-    : Daemon(*owned, self, std::move(device_name), config) {
-  owned_transport_ = std::move(owned);
-}
-
-Daemon::Daemon(net::Medium& medium, DeviceId self, std::string device_name,
-               DaemonConfig config)
-    : Daemon(std::make_unique<transport::SimTransport>(medium), self,
-             std::move(device_name), config) {}
 
 obs::Snapshot Daemon::stats() const {
   return transport_.registry().snapshot(metric_prefix_);

@@ -40,10 +40,6 @@
 #include "transport/transport.hpp"
 #include "util/result.hpp"
 
-namespace ph::net {
-class Medium;
-}
-
 namespace ph::peerhood {
 
 struct DaemonConfig {
@@ -106,13 +102,9 @@ class Daemon {
  public:
   using MonitorId = std::uint64_t;
 
-  /// Primary constructor: the daemon runs on any transport backend.
+  /// The daemon runs on any transport backend.
   Daemon(transport::Transport& transport, DeviceId self,
          std::string device_name, DaemonConfig config = {});
-  /// Legacy compat: wraps `medium` in an owned SimTransport. Behaviour is
-  /// byte-identical to the pre-transport daemon.
-  Daemon(net::Medium& medium, DeviceId self, std::string device_name,
-         DaemonConfig config = {});
   ~Daemon();
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
@@ -185,11 +177,6 @@ class Daemon {
   sim::Rng& jitter_rng() noexcept { return jitter_rng_; }
 
  private:
-  /// Compat plumbing: takes ownership of a transport, then behaves exactly
-  /// like the reference constructor.
-  Daemon(std::unique_ptr<transport::Transport> owned, DeviceId self,
-         std::string device_name, DaemonConfig config);
-
   struct Neighbour {
     DeviceInfo info;
     int missed_pings = 0;
@@ -251,9 +238,6 @@ class Daemon {
   void notify(NeighbourEvent::Kind kind, const DeviceInfo& device,
               GoneCause cause = GoneCause::missed_pings);
 
-  /// Set only by the legacy Medium constructor (an owned SimTransport);
-  /// declared before transport_ so the reference always outlives users.
-  std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport& transport_;
   transport::Scheduler& scheduler_;
   DeviceId self_;

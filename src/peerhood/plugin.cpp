@@ -2,66 +2,16 @@
 
 #include <cassert>
 
-#include "net/adapter.hpp"
-#include "transport/sim_transport.hpp"
-
 namespace ph::peerhood {
-
-std::unique_ptr<NetworkPlugin> make_bt_plugin(transport::Endpoint& endpoint) {
-  assert(endpoint.technology() == net::Technology::bluetooth);
-  return std::make_unique<EndpointPlugin>("BTPlugin", endpoint, 0);
-}
-
-std::unique_ptr<NetworkPlugin> make_wlan_plugin(transport::Endpoint& endpoint) {
-  assert(endpoint.technology() == net::Technology::wlan);
-  return std::make_unique<EndpointPlugin>("WLANPlugin", endpoint, 1);
-}
-
-std::unique_ptr<NetworkPlugin> make_gprs_plugin(transport::Endpoint& endpoint) {
-  assert(endpoint.technology() == net::Technology::gprs);
-  return std::make_unique<EndpointPlugin>("GPRSPlugin", endpoint, 2);
-}
 
 std::unique_ptr<NetworkPlugin> make_plugin(transport::Endpoint& endpoint) {
   switch (endpoint.technology()) {
-    case net::Technology::bluetooth: return make_bt_plugin(endpoint);
-    case net::Technology::wlan: return make_wlan_plugin(endpoint);
-    case net::Technology::gprs: return make_gprs_plugin(endpoint);
-  }
-  assert(false && "unknown technology");
-  return nullptr;
-}
-
-namespace {
-
-std::unique_ptr<NetworkPlugin> wrap(const char* name, net::Adapter& adapter,
-                                    int preference) {
-  return std::make_unique<EndpointPlugin>(name, transport::wrap_adapter(adapter),
-                                          preference);
-}
-
-}  // namespace
-
-std::unique_ptr<NetworkPlugin> make_bt_plugin(net::Adapter& adapter) {
-  assert(adapter.technology() == net::Technology::bluetooth);
-  return wrap("BTPlugin", adapter, 0);
-}
-
-std::unique_ptr<NetworkPlugin> make_wlan_plugin(net::Adapter& adapter) {
-  assert(adapter.technology() == net::Technology::wlan);
-  return wrap("WLANPlugin", adapter, 1);
-}
-
-std::unique_ptr<NetworkPlugin> make_gprs_plugin(net::Adapter& adapter) {
-  assert(adapter.technology() == net::Technology::gprs);
-  return wrap("GPRSPlugin", adapter, 2);
-}
-
-std::unique_ptr<NetworkPlugin> make_plugin(net::Adapter& adapter) {
-  switch (adapter.technology()) {
-    case net::Technology::bluetooth: return make_bt_plugin(adapter);
-    case net::Technology::wlan: return make_wlan_plugin(adapter);
-    case net::Technology::gprs: return make_gprs_plugin(adapter);
+    case net::Technology::bluetooth:
+      return std::make_unique<NetworkPlugin>("BTPlugin", endpoint, 0);
+    case net::Technology::wlan:
+      return std::make_unique<NetworkPlugin>("WLANPlugin", endpoint, 1);
+    case net::Technology::gprs:
+      return std::make_unique<NetworkPlugin>("GPRSPlugin", endpoint, 2);
   }
   assert(false && "unknown technology");
   return nullptr;

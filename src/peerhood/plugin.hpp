@@ -16,83 +16,43 @@
 
 #include "transport/transport.hpp"
 
-namespace ph::net {
-class Adapter;
-}
-
 namespace ph::peerhood {
 
+/// A plugin bound to one transport endpoint, which the transport owns.
 class NetworkPlugin {
  public:
-  virtual ~NetworkPlugin() = default;
+  NetworkPlugin(std::string name, transport::Endpoint& endpoint,
+                int preference)
+      : name_(std::move(name)), endpoint_(&endpoint), preference_(preference) {}
 
   /// Plugin display name: "BTPlugin", "WLANPlugin", "GPRSPlugin".
-  virtual const std::string& name() const = 0;
+  const std::string& name() const { return name_; }
 
-  virtual net::Technology technology() const = 0;
-  virtual const net::TechProfile& profile() const = 0;
+  net::Technology technology() const { return endpoint_->technology(); }
+  const net::TechProfile& profile() const { return endpoint_->profile(); }
 
   /// The transport endpoint this plugin drives.
-  virtual transport::Endpoint& endpoint() = 0;
-  virtual const transport::Endpoint& endpoint() const = 0;
+  transport::Endpoint& endpoint() { return *endpoint_; }
+  const transport::Endpoint& endpoint() const { return *endpoint_; }
 
   /// Lower value = preferred for data when signals are comparable. The
   /// thesis prefers free short-range links (Bluetooth/WLAN) over paid GPRS.
-  virtual int preference() const = 0;
-};
-
-/// Shared implementation: a plugin bound to one transport endpoint. The
-/// endpoint is either borrowed from the transport (usual case) or owned by
-/// the plugin (legacy adapter-wrapping factories below).
-class EndpointPlugin : public NetworkPlugin {
- public:
-  EndpointPlugin(std::string name, transport::Endpoint& endpoint,
-                 int preference)
-      : name_(std::move(name)), endpoint_(&endpoint), preference_(preference) {}
-  EndpointPlugin(std::string name, std::unique_ptr<transport::Endpoint> owned,
-                 int preference)
-      : name_(std::move(name)),
-        owned_(std::move(owned)),
-        endpoint_(owned_.get()),
-        preference_(preference) {}
-
-  const std::string& name() const override { return name_; }
-  net::Technology technology() const override {
-    return endpoint_->technology();
-  }
-  const net::TechProfile& profile() const override {
-    return endpoint_->profile();
-  }
-  transport::Endpoint& endpoint() override { return *endpoint_; }
-  const transport::Endpoint& endpoint() const override { return *endpoint_; }
-  int preference() const override { return preference_; }
+  int preference() const { return preference_; }
 
  private:
   std::string name_;
-  std::unique_ptr<transport::Endpoint> owned_;
   transport::Endpoint* endpoint_;
   int preference_;
 };
 
-/// BTPlugin: L2CAP-style reliable links, no BNEP/RFCOMM/PPP overhead
-/// (thesis §4.2.3). Preferred for local data: free and reliable.
-std::unique_ptr<NetworkPlugin> make_bt_plugin(transport::Endpoint& endpoint);
-
-/// WLANPlugin: IP with broadcast-based discovery, direct device-to-device.
-std::unique_ptr<NetworkPlugin> make_wlan_plugin(transport::Endpoint& endpoint);
-
-/// GPRSPlugin: IP via the operator gateway proxy; last resort (metered).
-std::unique_ptr<NetworkPlugin> make_gprs_plugin(transport::Endpoint& endpoint);
-
-/// Creates the plugin matching the endpoint's technology.
+/// Creates the plugin matching the endpoint's technology:
+///   * BTPlugin (preference 0): L2CAP-style reliable links, no
+///     BNEP/RFCOMM/PPP overhead (thesis §4.2.3). Preferred for local data:
+///     free and reliable.
+///   * WLANPlugin (1): IP with broadcast-based discovery, direct
+///     device-to-device.
+///   * GPRSPlugin (2): IP via the operator gateway proxy; last resort
+///     (metered).
 std::unique_ptr<NetworkPlugin> make_plugin(transport::Endpoint& endpoint);
-
-/// Legacy adapter overloads: wrap a bare simulated net::Adapter in an
-/// owned endpoint (transport::wrap_adapter). Prefer the Endpoint overloads
-/// — these exist so pre-transport call sites keep compiling.
-std::unique_ptr<NetworkPlugin> make_bt_plugin(net::Adapter& adapter);
-std::unique_ptr<NetworkPlugin> make_wlan_plugin(net::Adapter& adapter);
-std::unique_ptr<NetworkPlugin> make_gprs_plugin(net::Adapter& adapter);
-std::unique_ptr<NetworkPlugin> make_plugin(net::Adapter& adapter);
 
 }  // namespace ph::peerhood

@@ -52,18 +52,13 @@ Stack::Stack(StackConfig config, std::unique_ptr<sim::MobilityModel> mobility)
 
 Stack::Stack(net::Medium& medium, std::unique_ptr<sim::MobilityModel> mobility,
              StackConfig config)
-    : owned_transport_(std::make_unique<transport::SimTransport>(medium)),
-      transport_(*owned_transport_) {
-  maybe_enable_ops_server(transport_, config);
-  id_ = transport_.add_device(config.device_name, std::move(mobility));
-  daemon_ = std::make_unique<Daemon>(transport_, id_, config.device_name,
-                                     config.daemon);
-  for (const net::TechProfile& profile : config.radios) {
-    transport::Endpoint& endpoint = transport_.add_endpoint(id_, profile);
-    PH_CHECK(bool(daemon_->add_plugin(make_plugin(endpoint))));
-  }
-  library_ = std::make_unique<PeerHood>(*daemon_);
-  if (config.autostart) (void)daemon_->start();
+    : Stack(std::make_unique<transport::SimTransport>(medium),
+            std::move(config), std::move(mobility)) {}
+
+Stack::Stack(std::unique_ptr<transport::Transport> owned, StackConfig config,
+             std::unique_ptr<sim::MobilityModel> mobility)
+    : Stack(*owned, std::move(config), std::move(mobility)) {
+  owned_transport_ = std::move(owned);
 }
 
 Result<void> Stack::set_radio_powered(net::Technology tech, bool on) {

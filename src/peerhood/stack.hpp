@@ -73,8 +73,8 @@ class Stack {
   /// Builder form; config.transport must be set (with_transport).
   explicit Stack(StackConfig config,
                  std::unique_ptr<sim::MobilityModel> mobility = nullptr);
-  /// Legacy compat: wraps `medium` in an owned SimTransport; behaviour is
-  /// byte-identical to the pre-transport stack.
+  /// Simulated-medium shorthand: wraps `medium` in an owned SimTransport,
+  /// then assembles the device exactly like the primary constructor.
   Stack(net::Medium& medium, std::unique_ptr<sim::MobilityModel> mobility,
         StackConfig config);
   Stack(const Stack&) = delete;
@@ -101,8 +101,12 @@ class Stack {
   void restart();
 
  private:
-  /// Set only by the legacy Medium constructor; declared before transport_
-  /// so the reference outlives every user.
+  /// Takes ownership of `owned`, then runs the primary constructor on it.
+  Stack(std::unique_ptr<transport::Transport> owned, StackConfig config,
+        std::unique_ptr<sim::MobilityModel> mobility);
+
+  /// Set only by the Medium constructor; destroyed after daemon_ and
+  /// library_, which hold references into it.
   std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport& transport_;
   DeviceId id_;

@@ -70,42 +70,10 @@ void FlatIdSet::grow() {
   }
 }
 
-// --- BinaryHeapQueue --------------------------------------------------------
-
-void BinaryHeapQueue::do_push(Time when, EventId id, EventFn fn,
-                              std::uint8_t tag) {
-  heap_.push_back(QueueEntry{when, id, tag, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), QueueLater{});
-}
-
-bool BinaryHeapQueue::pop_next(Time until, QueueEntry& out) {
-  while (!heap_.empty()) {
-    if (!live_.contains(heap_.front().id)) {
-      std::pop_heap(heap_.begin(), heap_.end(), QueueLater{});
-      heap_.pop_back();
-      if (dead_ > 0) --dead_;
-      continue;
-    }
-    if (heap_.front().when > until) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), QueueLater{});
-    out = std::move(heap_.back());
-    heap_.pop_back();
-    return true;
-  }
-  return false;
-}
-
-void BinaryHeapQueue::compact() {
-  std::erase_if(heap_,
-                [this](const QueueEntry& e) { return !live_.contains(e.id); });
-  std::make_heap(heap_.begin(), heap_.end(), QueueLater{});
-  dead_ = 0;
-}
-
 // --- TimerWheelQueue --------------------------------------------------------
 
 TimerWheelQueue::TimerWheelQueue(const FlatIdSet& live)
-    : EventQueue(live), slots_(kLevels * kSlots) {
+    : live_(live), slots_(kLevels * kSlots) {
   // Allocate at construction, not in operation: a slot vector's first
   // push_back would otherwise allocate mid-run whenever a drifting
   // periodic phase touches a fresh slot, defeating the zero-allocation
@@ -165,8 +133,8 @@ void TimerWheelQueue::place(QueueEntry&& entry) {
   std::push_heap(overflow_.begin(), overflow_.end(), QueueLater{});
 }
 
-void TimerWheelQueue::do_push(Time when, EventId id, EventFn fn,
-                              std::uint8_t tag) {
+void TimerWheelQueue::push(Time when, EventId id, EventFn fn,
+                           std::uint8_t tag) {
   place(QueueEntry{when, id, tag, std::move(fn)});
   ++stored_;
 }

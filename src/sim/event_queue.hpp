@@ -1,4 +1,4 @@
-// Event queue implementations for the simulation kernel.
+// The event queue of the simulation kernel.
 //
 // The kernel's load is dominated by short-horizon periodic work — pings,
 // inquiry scans, neighbour-table refreshes, frame deliveries milliseconds
@@ -8,20 +8,17 @@
 // coarser levels (or an overflow heap) without being re-sorted on every
 // nearby event.
 //
-// Two implementations share one interface:
+// TimerWheelQueue has 3 levels × 256 slots over a 1.024 ms base tick
+// (level spans: 0.26 s / 67 s / 4.77 h) and an overflow min-heap beyond.
+// A slot holds its entries unordered; when the wheel reaches a slot, the
+// whole slot is moved into a small (when, id)-ordered "due" heap that
+// establishes the exact global order. Everything strictly before
+// `drained_before()` lives in that heap — the invariant that makes firing
+// order identical to a single global heap, bit for bit (a reference
+// binary heap in tests/sim/event_queue_property_test.cpp checks this in
+// lockstep).
 //
-//   * TimerWheelQueue — 3 levels × 256 slots over a 1.024 ms base tick
-//     (level spans: 0.26 s / 67 s / 4.77 h), overflow min-heap beyond.
-//     A slot holds its entries unordered; when the wheel reaches a slot,
-//     the whole slot is moved into a small (when, id)-ordered "due" heap
-//     that establishes the exact global order. Everything strictly before
-//     `drained_before()` lives in that heap — the invariant that makes
-//     firing order identical to a single global heap, bit for bit.
-//   * BinaryHeapQueue — the previous std::push_heap implementation, kept
-//     as the reference for the lockstep property test and the wheel-vs-
-//     heap microbenchmarks.
-//
-// Both order events by (when, id) where id is the insertion sequence, so
+// Events are ordered by (when, id) where id is the insertion sequence, so
 // equal timestamps fire FIFO — the determinism contract ph_chaos_
 // determinism byte-compares. Cancellation is lazy (the Simulator's live
 // set is the source of truth); dead entries are dropped when reached and
@@ -32,7 +29,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/event_fn.hpp"
@@ -91,75 +87,36 @@ struct QueueLater {
   }
 };
 
-class EventQueue {
+/// Hierarchical timer wheel with an overflow heap for the far tail.
+class TimerWheelQueue {
  public:
   /// `live` is the Simulator's id set — the authority on which stored
   /// entries are still scheduled. It must outlive the queue.
-  explicit EventQueue(const FlatIdSet& live) : live_(live) {}
-  virtual ~EventQueue() = default;
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
+  explicit TimerWheelQueue(const FlatIdSet& live);
+  TimerWheelQueue(const TimerWheelQueue&) = delete;
+  TimerWheelQueue& operator=(const TimerWheelQueue&) = delete;
 
-  /// Stores an entry. Non-virtual so the cost-center tag can default in
-  /// one place; implementations override do_push.
-  void push(Time when, EventId id, EventFn fn, std::uint8_t tag = 0) {
-    do_push(when, id, std::move(fn), tag);
-  }
+  /// Stores an entry.
+  void push(Time when, EventId id, EventFn fn, std::uint8_t tag = 0);
 
   /// Moves the earliest live entry with when <= until into `out`; false
   /// when there is none. Dead (cancelled) entries reached on the way are
   /// discarded.
-  virtual bool pop_next(Time until, QueueEntry& out) = 0;
+  bool pop_next(Time until, QueueEntry& out);
 
   /// Called by the Simulator after a successful cancel. Once dead entries
   /// dominate (same thresholds as Medium::note_dead_link) the queue
   /// compacts them away so cancel-heavy churn cannot accumulate closures.
   void note_cancelled() {
     ++dead_;
-    if (dead_ >= 32 && dead_ * 2 >= stored()) compact();
+    if (dead_ >= 32 && dead_ * 2 >= stored_) compact();
   }
 
   /// Entries held (live + not-yet-collected dead).
-  virtual std::size_t stored() const noexcept = 0;
+  std::size_t stored() const noexcept { return stored_; }
   /// Cancelled entries still occupying queue storage — the
   /// `sim.queue.cancelled_live` gauge.
   std::size_t dead() const noexcept { return dead_; }
-
-  virtual const char* name() const noexcept = 0;
-
- protected:
-  virtual void do_push(Time when, EventId id, EventFn fn,
-                       std::uint8_t tag) = 0;
-  virtual void compact() = 0;
-
-  const FlatIdSet& live_;
-  std::size_t dead_ = 0;
-};
-
-/// The previous binary min-heap queue (reference implementation).
-class BinaryHeapQueue final : public EventQueue {
- public:
-  using EventQueue::EventQueue;
-
-  bool pop_next(Time until, QueueEntry& out) override;
-  std::size_t stored() const noexcept override { return heap_.size(); }
-  const char* name() const noexcept override { return "binary_heap"; }
-
- private:
-  void do_push(Time when, EventId id, EventFn fn, std::uint8_t tag) override;
-  void compact() override;
-
-  std::vector<QueueEntry> heap_;
-};
-
-/// Hierarchical timer wheel with an overflow heap for the far tail.
-class TimerWheelQueue final : public EventQueue {
- public:
-  explicit TimerWheelQueue(const FlatIdSet& live);
-
-  bool pop_next(Time until, QueueEntry& out) override;
-  std::size_t stored() const noexcept override { return stored_; }
-  const char* name() const noexcept override { return "timer_wheel"; }
 
   /// Everything strictly before this time has been moved to the due heap;
   /// the wheel proper only holds entries at or after it. Exposed for the
@@ -190,7 +147,6 @@ class TimerWheelQueue final : public EventQueue {
     return slots_[level * kSlots + index];
   }
 
-  void do_push(Time when, EventId id, EventFn fn, std::uint8_t tag) override;
   /// Files an entry into due/slot/overflow based on wheel_time_.
   void place(QueueEntry&& entry);
   void push_due(QueueEntry&& entry);
@@ -212,8 +168,10 @@ class TimerWheelQueue final : public EventQueue {
   void enter_windows();
   /// Pulls overflow entries whose page entered the wheel's range.
   void drain_overflow();
-  void compact() override;
+  void compact();
 
+  const FlatIdSet& live_;
+  std::size_t dead_ = 0;
   Time wheel_time_ = 0;  // slot-boundary; see drained_before()
   std::size_t stored_ = 0;
   std::vector<QueueEntry> due_;       // (when, id) min-heap

@@ -5,14 +5,6 @@
 
 namespace ph::sim {
 
-Simulator::Simulator(QueueImpl impl) : impl_(impl) {
-  if (impl_ == QueueImpl::timer_wheel) {
-    queue_ = std::make_unique<TimerWheelQueue>(live_);
-  } else {
-    queue_ = std::make_unique<BinaryHeapQueue>(live_);
-  }
-}
-
 EventId Simulator::schedule(Duration delay, EventFn fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
@@ -26,14 +18,14 @@ EventId Simulator::schedule_at_tagged(Time when, std::uint8_t tag,
                                       EventFn fn) {
   if (when < now_) when = now_;
   const EventId id = next_seq_++;
-  queue_->push(when, id, std::move(fn), tag);
+  queue_.push(when, id, std::move(fn), tag);
   live_.insert(id);
   return id;
 }
 
 bool Simulator::cancel(EventId id) {
   if (!live_.erase(id)) return false;
-  queue_->note_cancelled();
+  queue_.note_cancelled();
   return true;
 }
 
@@ -69,7 +61,7 @@ void Simulator::run_periodic(TaskId id) {
 
 void Simulator::run_until(Time until) {
   QueueEntry entry;
-  while (queue_->pop_next(until, entry)) {
+  while (queue_.pop_next(until, entry)) {
     live_.erase(entry.id);
     now_ = entry.when;
     ++executed_;
@@ -80,7 +72,7 @@ void Simulator::run_until(Time until) {
 
 void Simulator::run_all() {
   QueueEntry entry;
-  while (queue_->pop_next(std::numeric_limits<Time>::max(), entry)) {
+  while (queue_.pop_next(std::numeric_limits<Time>::max(), entry)) {
     live_.erase(entry.id);
     now_ = entry.when;
     ++executed_;

@@ -16,15 +16,10 @@
 // Cancellation stays lazy: cancel() drops the id from the live set, the
 // stale entry is discarded when reached, and entries are compacted once
 // dead ones dominate (mirroring the Medium's dead-link policy).
-//
-// The previous binary-heap queue remains available behind the QueueImpl
-// constructor knob as the reference implementation for the lockstep
-// property test and the wheel-vs-heap microbenchmarks.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "obs/prof.hpp"
@@ -39,9 +34,7 @@ using TaskId = std::uint64_t;
 
 class Simulator {
  public:
-  enum class QueueImpl { timer_wheel, binary_heap };
-
-  explicit Simulator(QueueImpl impl = QueueImpl::timer_wheel);
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -114,16 +107,12 @@ class Simulator {
 
   /// Cancelled entries still occupying queue storage (lazy cancellation
   /// garbage awaiting collection) — the `sim.queue.cancelled_live` gauge.
-  std::size_t cancelled_pending() const noexcept { return queue_->dead(); }
+  std::size_t cancelled_pending() const noexcept { return queue_.dead(); }
   /// Entries held by the queue (live + not-yet-collected cancelled).
-  std::size_t stored_pending() const noexcept { return queue_->stored(); }
+  std::size_t stored_pending() const noexcept { return queue_.stored(); }
 
   /// Total events executed since construction (telemetry for benches).
   std::uint64_t events_executed() const noexcept { return executed_; }
-
-  QueueImpl queue_impl() const noexcept { return impl_; }
-  /// "timer_wheel" or "binary_heap" (bench labels).
-  const char* queue_name() const noexcept { return queue_->name(); }
 
  private:
   struct Periodic {
@@ -162,9 +151,8 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  QueueImpl impl_;
-  FlatIdSet live_;
-  std::unique_ptr<EventQueue> queue_;
+  FlatIdSet live_;  // declared before queue_, which holds a reference
+  TimerWheelQueue queue_{live_};
   TaskId next_task_ = 1;
   std::map<TaskId, Periodic> periodic_;
   std::uint8_t current_tag_ = 0;

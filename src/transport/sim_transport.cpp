@@ -13,11 +13,9 @@ class SimChannelState final : public detail::ChannelState {
  public:
   SimChannelState(net::Link link, const TransportMetrics* metrics)
       : link_(std::move(link)), m_(metrics) {
-    if (m_ != nullptr) {
-      // Count breaks even when the user never installs a handler; a user
-      // handler installed later replaces this with a counting wrapper.
-      link_.on_break([m = m_]() { m->channels_broken->inc(); });
-    }
+    // Count breaks even when the user never installs a handler; a user
+    // handler installed later replaces this with a counting wrapper.
+    link_.on_break([m = m_]() { m->channels_broken->inc(); });
   }
 
   bool chan_open() const override { return link_.open(); }
@@ -26,10 +24,6 @@ class SimChannelState final : public detail::ChannelState {
     return link_.technology();
   }
   void chan_on_receive(std::function<void(BytesView)> handler) override {
-    if (m_ == nullptr) {
-      link_.on_receive(std::move(handler));
-      return;
-    }
     link_.on_receive(
         [m = m_, handler = std::move(handler)](BytesView payload) {
           m->channel_bytes->inc(payload.size());
@@ -37,20 +31,14 @@ class SimChannelState final : public detail::ChannelState {
         });
   }
   void chan_on_break(std::function<void()> handler) override {
-    if (m_ == nullptr) {
-      link_.on_break(std::move(handler));
-      return;
-    }
     link_.on_break([m = m_, handler = std::move(handler)]() {
       m->channels_broken->inc();
       if (handler) handler();
     });
   }
   void chan_send(BytesView payload) override {
-    if (m_ != nullptr) {
-      m_->channel_messages->inc();
-      m_->channel_bytes->inc(payload.size());
-    }
+    m_->channel_messages->inc();
+    m_->channel_bytes->inc(payload.size());
     link_.send(payload);
   }
   double chan_signal() const override { return link_.signal(); }
@@ -66,12 +54,11 @@ Channel wrap_link(net::Link link, const TransportMetrics* metrics) {
 }
 
 /// Endpoint over a simulated net::Adapter; forwarding plus transport.*
-/// counts (a null metrics pointer restores pure forwarding).
+/// counts.
 class SimEndpoint final : public Endpoint {
  public:
-  explicit SimEndpoint(net::Adapter& adapter,
-                       const TransportMetrics* metrics = nullptr)
-      : adapter_(adapter), m_(metrics) {}
+  SimEndpoint(net::Adapter& adapter, const TransportMetrics& metrics)
+      : adapter_(adapter), m_(&metrics) {}
 
   DeviceId device() const override { return adapter_.node(); }
   const net::TechProfile& profile() const override {
@@ -84,10 +71,6 @@ class SimEndpoint final : public Endpoint {
     adapter_.start_inquiry(std::move(done));
   }
   void bind(net::Port port, DatagramHandler handler) override {
-    if (m_ == nullptr) {
-      adapter_.bind(port, std::move(handler));
-      return;
-    }
     adapter_.bind(port, [m = m_, handler = std::move(handler)](
                             net::NodeId src, BytesView payload) {
       m->datagrams_received->inc();
@@ -96,23 +79,19 @@ class SimEndpoint final : public Endpoint {
   }
   void unbind(net::Port port) override { adapter_.unbind(port); }
   void send_datagram(DeviceId dst, net::Port port, BytesView payload) override {
-    if (m_ != nullptr) {
-      m_->datagrams_sent->inc();
-      m_->datagram_bytes->inc(payload.size());
-    }
+    m_->datagrams_sent->inc();
+    m_->datagram_bytes->inc(payload.size());
     adapter_.send_datagram(dst, port, payload);
   }
   void broadcast_datagram(net::Port port, BytesView payload) override {
-    if (m_ != nullptr) {
-      m_->datagrams_sent->inc();
-      m_->datagram_bytes->inc(payload.size());
-    }
+    m_->datagrams_sent->inc();
+    m_->datagram_bytes->inc(payload.size());
     adapter_.broadcast_datagram(port, payload);
   }
   void listen(net::Port port, AcceptHandler on_accept) override {
     adapter_.listen(port, [m = m_, on_accept = std::move(on_accept)](
                               net::Link link) {
-      if (m != nullptr) m->channels_accepted->inc();
+      m->channels_accepted->inc();
       on_accept(wrap_link(std::move(link), m));
     });
   }
@@ -124,7 +103,7 @@ class SimEndpoint final : public Endpoint {
                          done(std::move(link).error());
                          return;
                        }
-                       if (m != nullptr) m->channels_opened->inc();
+                       m->channels_opened->inc();
                        done(wrap_link(*std::move(link), m));
                      });
   }
@@ -138,10 +117,6 @@ class SimEndpoint final : public Endpoint {
 };
 
 }  // namespace
-
-std::unique_ptr<Endpoint> wrap_adapter(net::Adapter& adapter) {
-  return std::make_unique<SimEndpoint>(adapter);
-}
 
 class SimTransport::SimScheduler final : public Scheduler {
  public:
@@ -185,22 +160,13 @@ Endpoint& SimTransport::add_endpoint(DeviceId device, net::TechProfile profile) 
                "one endpoint per (device, technology)");
   net::Adapter& adapter = medium_.add_adapter(device, std::move(profile));
   auto [it, inserted] = endpoints_.emplace(
-      key, std::make_unique<SimEndpoint>(adapter, &metrics_));
+      key, std::make_unique<SimEndpoint>(adapter, metrics_));
   return *it->second;
 }
 
 Endpoint* SimTransport::endpoint(DeviceId device, net::Technology tech) {
   auto it = endpoints_.find(std::make_pair(device, tech));
-  if (it != endpoints_.end()) return it->second.get();
-  // Adapters created outside this instance (legacy call sites add them
-  // straight on the Medium): wrap on demand so lookups stay uniform.
-  if (net::Adapter* adapter = medium_.adapter(device, tech)) {
-    auto [it2, inserted] = endpoints_.emplace(
-        std::make_pair(device, tech),
-        std::make_unique<SimEndpoint>(*adapter, &metrics_));
-    return it2->second.get();
-  }
-  return nullptr;
+  return it != endpoints_.end() ? it->second.get() : nullptr;
 }
 
 }  // namespace ph::transport

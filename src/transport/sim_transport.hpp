@@ -11,10 +11,11 @@
 // neither the RNG nor the event queue, so they count identically on every
 // same-seed run.
 //
-// Several SimTransport instances may wrap one Medium (the legacy
-// Stack/Daemon compat constructors own one each); they share the Medium's
+// Several SimTransport instances may wrap one Medium (the Stack(Medium&,
+// ...) constructor owns one per device); they share the Medium's
 // registry, trace, RNG and simulator, so which instance a call goes
-// through is unobservable.
+// through is unobservable. Each instance looks up only the endpoints it
+// created itself.
 #pragma once
 
 #include <map>
@@ -25,12 +26,6 @@
 #include "transport/transport.hpp"
 
 namespace ph::transport {
-
-/// Wraps one existing net::Adapter as a transport::Endpoint. The wrapper
-/// holds no state of its own — power, bindings and listeners live in the
-/// adapter — so wrapping the same adapter twice yields interchangeable
-/// endpoints.
-std::unique_ptr<Endpoint> wrap_adapter(net::Adapter& adapter);
 
 class SimTransport final : public Transport {
  public:

@@ -5,68 +5,68 @@
 #include <memory>
 
 #include "net/medium.hpp"
+#include "transport/sim_transport.hpp"
 
 namespace ph::peerhood {
 namespace {
 
 class PluginTest : public ::testing::Test {
  protected:
-  PluginTest() : medium_(simulator_, sim::Rng(4)) {
-    node_ = medium_.add_node(
+  PluginTest() : medium_(simulator_, sim::Rng(4)), transport_(medium_) {
+    device_ = transport_.add_device(
         "dev", std::make_unique<sim::StaticMobility>(sim::Vec2{0, 0}));
+  }
+
+  /// Installs a radio on the device and wraps its endpoint in a plugin.
+  std::unique_ptr<NetworkPlugin> plugin_for(net::TechProfile profile) {
+    return make_plugin(transport_.add_endpoint(device_, std::move(profile)));
   }
 
   sim::Simulator simulator_;
   net::Medium medium_;
-  net::NodeId node_ = 0;
+  transport::SimTransport transport_;
+  transport::DeviceId device_ = 0;
 };
 
 TEST_F(PluginTest, BtPluginIdentity) {
-  net::Adapter& adapter = medium_.add_adapter(node_, net::bluetooth_2_0());
-  auto plugin = make_bt_plugin(adapter);
+  auto plugin = plugin_for(net::bluetooth_2_0());
   EXPECT_EQ(plugin->name(), "BTPlugin");
   EXPECT_EQ(plugin->technology(), net::Technology::bluetooth);
-  EXPECT_EQ(plugin->endpoint().device(), adapter.node());
+  EXPECT_EQ(plugin->endpoint().device(), device_);
 }
 
 TEST_F(PluginTest, WlanPluginIdentity) {
-  net::Adapter& adapter = medium_.add_adapter(node_, net::wlan_80211b());
-  auto plugin = make_wlan_plugin(adapter);
+  auto plugin = plugin_for(net::wlan_80211b());
   EXPECT_EQ(plugin->name(), "WLANPlugin");
   EXPECT_EQ(plugin->technology(), net::Technology::wlan);
 }
 
 TEST_F(PluginTest, GprsPluginIdentity) {
-  net::Adapter& adapter = medium_.add_adapter(node_, net::gprs());
-  auto plugin = make_gprs_plugin(adapter);
+  auto plugin = plugin_for(net::gprs());
   EXPECT_EQ(plugin->name(), "GPRSPlugin");
   EXPECT_EQ(plugin->technology(), net::Technology::gprs);
 }
 
 TEST_F(PluginTest, PreferenceOrdersFreeTechnologiesFirst) {
-  net::Adapter& bt = medium_.add_adapter(node_, net::bluetooth_2_0());
-  net::Adapter& wlan = medium_.add_adapter(node_, net::wlan_80211b());
-  net::Adapter& cell = medium_.add_adapter(node_, net::gprs());
-  auto bt_plugin = make_bt_plugin(bt);
-  auto wlan_plugin = make_wlan_plugin(wlan);
-  auto gprs_plugin = make_gprs_plugin(cell);
+  auto bt_plugin = plugin_for(net::bluetooth_2_0());
+  auto wlan_plugin = plugin_for(net::wlan_80211b());
+  auto gprs_plugin = plugin_for(net::gprs());
   // The thesis prefers cost-free short-range radios over metered GPRS.
+  EXPECT_EQ(bt_plugin->preference(), 0);
+  EXPECT_EQ(wlan_plugin->preference(), 1);
+  EXPECT_EQ(gprs_plugin->preference(), 2);
   EXPECT_LT(bt_plugin->preference(), gprs_plugin->preference());
   EXPECT_LT(wlan_plugin->preference(), gprs_plugin->preference());
 }
 
 TEST_F(PluginTest, MakePluginDispatchesOnTechnology) {
-  net::Adapter& bt = medium_.add_adapter(node_, net::bluetooth_2_0());
-  net::Adapter& wlan = medium_.add_adapter(node_, net::wlan_80211g());
-  net::Adapter& cell = medium_.add_adapter(node_, net::gprs());
-  EXPECT_EQ(make_plugin(bt)->name(), "BTPlugin");
-  EXPECT_EQ(make_plugin(wlan)->name(), "WLANPlugin");
-  EXPECT_EQ(make_plugin(cell)->name(), "GPRSPlugin");
+  EXPECT_EQ(plugin_for(net::bluetooth_2_0())->name(), "BTPlugin");
+  EXPECT_EQ(plugin_for(net::wlan_80211g())->name(), "WLANPlugin");
+  EXPECT_EQ(plugin_for(net::gprs())->name(), "GPRSPlugin");
 }
 
 TEST_F(PluginTest, ProfilePassesThrough) {
-  net::Adapter& adapter = medium_.add_adapter(node_, net::wlan_80211a());
-  auto plugin = make_wlan_plugin(adapter);
+  auto plugin = plugin_for(net::wlan_80211a());
   EXPECT_EQ(plugin->profile().name, "IEEE 802.11a");
   EXPECT_DOUBLE_EQ(plugin->profile().bandwidth_bps, 54e6);
 }

@@ -1,5 +1,6 @@
 #include "net/medium.hpp"
 #include "peerhood/stack.hpp"
+#include "transport/sim_transport.hpp"
 
 #include <gtest/gtest.h>
 
@@ -72,8 +73,25 @@ TEST_F(StackTest, SetRadioPoweredTogglesAdapter) {
 TEST_F(StackTest, PoweringUnknownTechnologyIsNoop) {
   Stack stack(medium_, std::make_unique<sim::StaticMobility>(sim::Vec2{0, 0}),
               {});
-  stack.set_radio_powered(net::Technology::gprs, false);  // no GPRS radio
-  SUCCEED();
+  const Result<void> result =
+      stack.set_radio_powered(net::Technology::gprs, false);  // no GPRS radio
+  ASSERT_FALSE(result);
+  EXPECT_EQ(result.error().code, Errc::not_supported);
+}
+
+TEST_F(StackTest, PoweringMissingRadioReportsNotSupported) {
+  // Two devices on one shared transport: the lookup is per device, so the
+  // neighbour's GPRS radio does not satisfy this device's request.
+  transport::SimTransport transport(medium_);
+  Stack phone(transport, StackConfig{}.with_name("phone"));
+  Stack modem(transport, StackConfig{}.with_name("modem").with_radios(
+                             {net::bluetooth_2_0(), net::gprs()}));
+  const Result<void> result =
+      phone.set_radio_powered(net::Technology::gprs, false);
+  ASSERT_FALSE(result);
+  EXPECT_EQ(result.error().code, Errc::not_supported);
+  EXPECT_TRUE(modem.set_radio_powered(net::Technology::gprs, false));
+  EXPECT_FALSE(medium_.adapter(modem.id(), net::Technology::gprs)->powered());
 }
 
 TEST_F(StackTest, DaemonConfigPassedThrough) {

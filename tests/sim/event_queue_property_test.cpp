@@ -1,11 +1,12 @@
-// Property tests for the event-queue implementations.
+// Property tests for the event queue.
 //
-// The timer wheel earns its keep only if it is *indistinguishable* from
-// the reference binary heap: same (when, id) pop order for every workload,
+// The timer wheel earns its keep only if it is *indistinguishable* from a
+// plain binary heap: same (when, id) pop order for every workload,
 // including same-timestamp ties, cancellations, far-future overflow
-// entries and wheel cascades. The lockstep tests drive both queues with
-// identical randomized workloads and compare every popped entry; the
-// simulator-level test does the same through the public Simulator API.
+// entries and wheel cascades. The lockstep tests drive the wheel and the
+// reference heap below with identical randomized workloads and compare
+// every popped entry; the simulator-level test checks the public
+// Simulator API against an execution order computed from the schedule.
 
 #include <algorithm>
 #include <random>
@@ -117,6 +118,41 @@ TEST(EventFn, InlineAndHeapCallablesBothWork) {
   EXPECT_EQ(hits, 84);
 }
 
+/// Reference queue: one std::push_heap min-heap ordered by (when, id) that
+/// discards cancelled entries when it reaches them. It is the oracle the
+/// lockstep tests compare the wheel's pop order against.
+class BinaryHeapQueue {
+ public:
+  explicit BinaryHeapQueue(const FlatIdSet& live) : live_(live) {}
+
+  void push(Time when, EventId id, EventFn fn) {
+    heap_.push_back(QueueEntry{when, id, 0, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), QueueLater{});
+  }
+
+  bool pop_next(Time until, QueueEntry& out) {
+    while (!heap_.empty()) {
+      if (!live_.contains(heap_.front().id)) {
+        std::pop_heap(heap_.begin(), heap_.end(), QueueLater{});
+        heap_.pop_back();
+        continue;
+      }
+      if (heap_.front().when > until) return false;
+      std::pop_heap(heap_.begin(), heap_.end(), QueueLater{});
+      out = std::move(heap_.back());
+      heap_.pop_back();
+      return true;
+    }
+    return false;
+  }
+
+  std::size_t stored() const noexcept { return heap_.size(); }
+
+ private:
+  const FlatIdSet& live_;
+  std::vector<QueueEntry> heap_;
+};
+
 /// Drives `wheel` and `heap` with an identical workload and asserts every
 /// pop matches. Reports the number of events popped via `popped_out`
 /// (ASSERT_* needs a void-returning function).
@@ -159,7 +195,6 @@ void run_lockstep(std::uint64_t seed, int rounds, Time max_delay,
       live_wheel.erase(id);
       live_heap.erase(id);
       wheel.note_cancelled();
-      heap.note_cancelled();
     } else {
       // Pop everything up to a random horizon; both queues must yield the
       // exact same (when, id) sequence.
@@ -348,34 +383,55 @@ TEST(EventQueue, CancelledEntriesCompactOnceTheyDominate) {
   EXPECT_EQ(fired, 40u);
 }
 
-TEST(SimulatorLockstep, BothQueueImplsExecuteIdentically) {
-  // Same randomized scenario on both queue implementations, recording the
-  // execution order through the public API. Periodic tasks, cancellations
-  // and nested scheduling included.
-  auto run = [](Simulator::QueueImpl impl) {
-    std::vector<std::pair<Time, int>> order;
-    Simulator simulator(impl);
-    std::mt19937_64 rng(0xD15EA5E);
-    int tag = 0;
-    for (int i = 0; i < 500; ++i) {
-      const Time delay = rng() % 3'000'000;
-      const int id = tag++;
-      const EventId ev =
-          simulator.schedule(Duration{delay}, [&order, &simulator, id] {
-            order.emplace_back(simulator.now(), id);
-          });
-      if (i % 7 == 0) simulator.cancel(ev);
-    }
-    simulator.schedule_periodic(Duration{50'000}, [&order, &simulator]() {
-      order.emplace_back(simulator.now(), -1);
-    });
-    simulator.run_until(Time{2'500'000});
-    return order;
+TEST(SimulatorLockstep, ExecutionMatchesScheduleOrder) {
+  // A randomized scenario through the public API — cancellations and a
+  // periodic task included — must execute in (when, schedule sequence)
+  // order with the cancelled events dropped. The expected order is
+  // computed here from the schedule alone.
+  struct Scheduled {
+    Time when;
+    std::uint64_t seq;
+    int id;
   };
-  const auto wheel_order = run(Simulator::QueueImpl::timer_wheel);
-  const auto heap_order = run(Simulator::QueueImpl::binary_heap);
-  ASSERT_EQ(wheel_order.size(), heap_order.size());
-  EXPECT_EQ(wheel_order, heap_order);
+  std::vector<Scheduled> expected;
+  std::vector<std::pair<Time, int>> order;
+  Simulator simulator;
+  std::mt19937_64 rng(0xD15EA5E);
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 500; ++i) {
+    const Time delay = rng() % 3'000'000;
+    const EventId ev =
+        simulator.schedule(Duration{delay}, [&order, &simulator, i] {
+          order.emplace_back(simulator.now(), i);
+        });
+    if (i % 7 == 0) {
+      simulator.cancel(ev);
+    } else {
+      expected.push_back({delay, seq, i});
+    }
+    ++seq;
+  }
+  constexpr Time kPeriod = 50'000;
+  constexpr Time kUntil = 2'500'000;
+  simulator.schedule_periodic(Duration{kPeriod}, [&order, &simulator]() {
+    order.emplace_back(simulator.now(), -1);
+  });
+  // Occurrence k (at k * period) is re-armed while occurrence k-1 runs,
+  // so every one-shot at the same instant was scheduled before it.
+  for (Time when = kPeriod; when <= kUntil; when += kPeriod) {
+    expected.push_back({when, seq++, -1});
+  }
+  simulator.run_until(Time{kUntil});
+
+  std::erase_if(expected, [](const Scheduled& e) { return e.when > kUntil; });
+  std::sort(expected.begin(), expected.end(),
+            [](const Scheduled& a, const Scheduled& b) {
+              return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+            });
+  std::vector<std::pair<Time, int>> expected_order;
+  for (const Scheduled& e : expected) expected_order.emplace_back(e.when, e.id);
+  ASSERT_EQ(order.size(), expected_order.size());
+  EXPECT_EQ(order, expected_order);
 }
 
 }  // namespace
