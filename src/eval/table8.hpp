@@ -67,6 +67,10 @@ struct PeerHoodUserModel {
 /// recorded into `eval.table8.sns.{search,join,member_list,profile}_s`
 /// operation histograms — run several seeds into one registry to get
 /// p50/p95/p99 across runs.
+///
+/// The run records a span trace only when it is read: with `metrics` (the
+/// `eval.critical_path.*` attribution) or with PH_TRACE_JSON set. The cell
+/// is the same either way.
 Table8Cell run_sns_column(const sns::SiteProfile& site,
                           const sns::DeviceClass& device, std::uint64_t seed,
                           obs::Registry* metrics = nullptr);

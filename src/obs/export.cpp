@@ -500,11 +500,16 @@ bool dump_if_requested(const Registry& registry, const Trace* trace,
   return ok;
 }
 
+bool trace_dump_requested() {
+  const char* path = std::getenv("PH_TRACE_JSON");
+  return path != nullptr && *path != '\0';
+}
+
 bool dump_trace_if_requested(const Trace& trace,
                              const std::map<std::uint64_t, std::string>&
                                  device_names) {
+  if (!trace_dump_requested()) return false;
   const char* path = std::getenv("PH_TRACE_JSON");
-  if (path == nullptr || *path == '\0') return false;
   if (!write_file(path, to_chrome_trace(trace, device_names))) return false;
   std::fprintf(stderr, "obs: Chrome trace JSON written to %s\n", path);
   return true;

@@ -106,6 +106,10 @@ bool dump_trace_if_requested(const Trace& trace,
                              const std::map<std::uint64_t, std::string>&
                                  device_names = {});
 
+/// True when $PH_TRACE_JSON names a path, i.e. dump_trace_if_requested
+/// would write: lets a run enable its trace only when it will be read.
+bool trace_dump_requested();
+
 /// Flight-recorder dump: writes the (ring) trace as Chrome trace JSON to
 /// $PH_FLIGHT_JSON, or to `fallback_path` when the env var is unset.
 /// With neither set this is a no-op (so fault-plane dumps stay opt-in).

@@ -1,23 +1,28 @@
 #include "proto/codec.hpp"
 
+#include <array>
+
 namespace ph::proto {
 
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+namespace {
+
+/// Appends `v` little-endian with a single insert.
+template <typename T>
+void append_le(Bytes& buf, T v) {
+  std::array<std::uint8_t, sizeof(T)> le;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  buf.insert(buf.end(), le.begin(), le.end());
 }
 
-void Writer::u32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+}  // namespace
 
-void Writer::u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void Writer::u16(std::uint16_t v) { append_le(buf_, v); }
+
+void Writer::u32(std::uint32_t v) { append_le(buf_, v); }
+
+void Writer::u64(std::uint64_t v) { append_le(buf_, v); }
 
 void Writer::str(std::string_view v) {
   u32(static_cast<std::uint32_t>(v.size()));
@@ -27,6 +32,11 @@ void Writer::str(std::string_view v) {
 void Writer::bytes(BytesView v) {
   u32(static_cast<std::uint32_t>(v.size()));
   buf_.insert(buf_.end(), v.begin(), v.end());
+}
+
+void Writer::filler(std::uint32_t n, std::uint8_t byte) {
+  u32(n);
+  buf_.insert(buf_.end(), n, byte);
 }
 
 void Writer::str_list(const std::vector<std::string>& v) {
@@ -91,6 +101,14 @@ Result<Bytes> Reader::bytes() {
             data_.begin() + static_cast<std::ptrdiff_t>(pos_ + *len));
   pos_ += *len;
   return out;
+}
+
+Result<std::uint32_t> Reader::skip_bytes() {
+  auto len = u32();
+  if (!len) return len.error();
+  if (auto r = need(*len); !r) return r.error();
+  pos_ += *len;
+  return *len;
 }
 
 Result<std::vector<std::string>> Reader::str_list() {

@@ -21,10 +21,16 @@ class Writer {
   /// Length-prefixed (u32) byte string.
   void str(std::string_view v);
   void bytes(BytesView v);
+  /// Length-prefixed (u32) run of `n` copies of `byte`: the wire image of
+  /// bytes(Bytes(n, byte)) without building the run first.
+  void filler(std::uint32_t n, std::uint8_t byte);
   void str_list(const std::vector<std::string>& v);
 
   const Bytes& data() const& { return buf_; }
   Bytes take() && { return std::move(buf_); }
+  /// Empties the buffer but keeps its capacity, so a Writer kept across
+  /// messages encodes without allocating once it has seen the largest.
+  void clear() noexcept { buf_.clear(); }
 
  private:
   Bytes buf_;
@@ -40,6 +46,9 @@ class Reader {
   Result<std::uint64_t> u64();
   Result<std::string> str();
   Result<Bytes> bytes();
+  /// Steps over a length-prefixed byte string without copying it; returns
+  /// its length. Errc::protocol_error if the length runs past the end.
+  Result<std::uint32_t> skip_bytes();
   Result<std::vector<std::string>> str_list();
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }

@@ -8,7 +8,7 @@
 // per event. EventFn inlines up to kInlineSize bytes of capture state in
 // the queue entry itself; only outsized closures (link-open continuations
 // that carry a whole TechProfile) fall back to the heap. The allocation
-// test (tests/sim/sim_alloc_test.cpp) interposes operator new to assert
+// test (tests/sim/alloc_test.cpp) interposes operator new to assert
 // the steady-state event loop performs zero allocations per event.
 //
 // Unlike std::function it is move-only (captured payloads need no copy),

@@ -73,13 +73,21 @@ void FlatIdSet::grow() {
 // --- TimerWheelQueue --------------------------------------------------------
 
 TimerWheelQueue::TimerWheelQueue(const FlatIdSet& live)
-    : live_(live), slots_(kLevels * kSlots) {
-  // Allocate at construction, not in operation: a slot vector's first
-  // push_back would otherwise allocate mid-run whenever a drifting
-  // periodic phase touches a fresh slot, defeating the zero-allocation
-  // steady state. Busier slots grow past this once and keep their
-  // high-water capacity.
-  for (std::vector<QueueEntry>& bucket : slots_) bucket.reserve(4);
+    : live_(live),
+      slab_(std::allocator<QueueEntry>{}.allocate(kSlabEntries)) {
+  // Every slot starts with room for kSlotChunk entries, so a drifting
+  // periodic phase touching a fresh slot mid-run does not allocate and the
+  // steady state stays allocation-free. The room is one slab, not a
+  // reserve per slot, so building a Simulator costs a handful of
+  // allocations instead of one per slot: short runs that build many worlds
+  // (a Table-8 replication builds five) never touch most slots. Busier
+  // slots grow past their chunk once and keep their high-water capacity.
+  slots_.reserve(kLevels * kSlots);
+  for (std::size_t i = 0; i < kLevels * kSlots; ++i) {
+    Slot& bucket = slots_.emplace_back(
+        SlotAllocator<QueueEntry>(slab_.get() + i * kSlotChunk));
+    bucket.reserve(kSlotChunk);
+  }
   due_.reserve(64);
   overflow_.reserve(64);
 }
@@ -156,7 +164,7 @@ void TimerWheelQueue::drain_overflow() {
 }
 
 void TimerWheelQueue::cascade(unsigned level, unsigned index) {
-  std::vector<QueueEntry>& bucket = slot(level, index);
+  Slot& bucket = slot(level, index);
   // Take the bucket before re-placing: place() only touches levels below
   // this one (the entries now share the lower page with wheel_time_).
   for (QueueEntry& entry : bucket) {
@@ -198,8 +206,7 @@ bool TimerWheelQueue::advance(Time until) {
             static_cast<unsigned>(found);
         const Time slot_start = slot_tick << kTickShift;
         if (slot_start > until) return false;
-        std::vector<QueueEntry>& bucket =
-            slot(0, static_cast<unsigned>(found));
+        Slot& bucket = slot(0, static_cast<unsigned>(found));
         wheel_time_ = (slot_tick + 1) << kTickShift;
         for (QueueEntry& entry : bucket) {
           if (!live_.contains(entry.id)) {
@@ -307,7 +314,7 @@ void TimerWheelQueue::compact() {
   std::make_heap(overflow_.begin(), overflow_.end(), QueueLater{});
   for (unsigned level = 0; level < kLevels; ++level) {
     for (unsigned index = 0; index < kSlots; ++index) {
-      std::vector<QueueEntry>& bucket = slot(level, index);
+      Slot& bucket = slot(level, index);
       if (bucket.empty()) continue;
       removed += std::erase_if(bucket, is_dead);
       if (bucket.empty()) clear_bit(level, index);

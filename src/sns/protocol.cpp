@@ -54,12 +54,16 @@ Result<PageRequest> decode_page_request(BytesView data) {
   return request;
 }
 
+void encode(const PageResponse& response, proto::Writer& out) {
+  out.u8(static_cast<std::uint8_t>(response.kind));
+  out.u8(static_cast<std::uint8_t>(response.status));
+  out.str_list(response.names);
+  out.filler(response.body_bytes, std::uint8_t{'x'});
+}
+
 Bytes encode(const PageResponse& response) {
   proto::Writer w;
-  w.u8(static_cast<std::uint8_t>(response.kind));
-  w.u8(static_cast<std::uint8_t>(response.status));
-  w.str_list(response.names);
-  w.bytes(response.body);
+  encode(response, w);
   return std::move(w).take();
 }
 
@@ -81,9 +85,9 @@ Result<PageResponse> decode_page_response(BytesView data) {
   auto names = r.str_list();
   if (!names) return names.error();
   response.names = std::move(*names);
-  auto body = r.bytes();
-  if (!body) return body.error();
-  response.body = std::move(*body);
+  auto body_bytes = r.skip_bytes();
+  if (!body_bytes) return body_bytes.error();
+  response.body_bytes = *body_bytes;
   return response;
 }
 

@@ -3,13 +3,17 @@
 // One request/response pair per page load. Responses carry real result
 // data (group names, member lists) plus a filler blob sized to the page
 // weight, so the simulated GPRS link computes the transfer time the same
-// way it does for every other byte in the system.
+// way it does for every other byte in the system. The filler's content
+// carries no information, so in memory a response holds only its size;
+// the encoder writes the 'x' run straight into the wire buffer and the
+// decoder bounds-checks it and steps over it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "proto/codec.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
 
@@ -47,13 +51,17 @@ struct PageResponse {
   PageKind kind = PageKind::home;
   PageStatus status = PageStatus::ok;
   std::vector<std::string> names;  ///< groups found / members listed
-  Bytes body;                      ///< page filler sized to the page weight
+  /// Size of the page filler (sized to the page weight); on the wire it is
+  /// a length-prefixed run of this many 'x' bytes.
+  std::uint32_t body_bytes = 0;
 
   friend bool operator==(const PageResponse&, const PageResponse&) = default;
 };
 
 Bytes encode(const PageRequest& request);
 Bytes encode(const PageResponse& response);
+/// Appends the wire image of `response` to `out` (what encode() returns).
+void encode(const PageResponse& response, proto::Writer& out);
 Result<PageRequest> decode_page_request(BytesView data);
 Result<PageResponse> decode_page_response(BytesView data);
 

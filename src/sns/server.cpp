@@ -9,6 +9,16 @@
 
 namespace ph::sns {
 
+namespace {
+
+/// Page filler size for a site's base page weight and a device's variant.
+std::uint32_t filler_bytes(std::uint64_t base_bytes,
+                           std::uint32_t weight_permille) {
+  return static_cast<std::uint32_t>(base_bytes * weight_permille / 1000);
+}
+
+}  // namespace
+
 SnsServer::SnsServer(net::Medium& medium, SiteProfile site)
     : medium_(medium), site_(std::move(site)) {
   node_ = medium_.add_node(
@@ -53,12 +63,6 @@ std::vector<std::string> SnsServer::comments_on(const std::string& member) const
   return it == comments_.end() ? std::vector<std::string>{} : it->second;
 }
 
-Bytes SnsServer::filler(std::uint64_t base_bytes,
-                        std::uint32_t weight_permille) const {
-  const std::uint64_t size = base_bytes * weight_permille / 1000;
-  return Bytes(size, std::uint8_t{'x'});
-}
-
 PageResponse SnsServer::handle(const PageRequest& request) {
   c_pages_served_->inc();
   medium_.trace().add_event("sns.page", medium_.simulator().now(), node_,
@@ -67,7 +71,8 @@ PageResponse SnsServer::handle(const PageRequest& request) {
   response.kind = request.kind;
   switch (request.kind) {
     case PageKind::home:
-      response.body = filler(site_.home_page_bytes, request.weight_permille);
+      response.body_bytes =
+          filler_bytes(site_.home_page_bytes, request.weight_permille);
       break;
     case PageKind::search: {
       // Case-insensitive substring search over group names.
@@ -79,14 +84,16 @@ PageResponse SnsServer::handle(const PageRequest& request) {
         }
       }
       if (response.names.empty()) response.status = PageStatus::not_found;
-      response.body = filler(site_.search_page_bytes, request.weight_permille);
+      response.body_bytes =
+          filler_bytes(site_.search_page_bytes, request.weight_permille);
       break;
     }
     case PageKind::group: {
       if (!groups_.contains(request.query)) {
         response.status = PageStatus::not_found;
       }
-      response.body = filler(site_.group_page_bytes, request.weight_permille);
+      response.body_bytes =
+          filler_bytes(site_.group_page_bytes, request.weight_permille);
       break;
     }
     case PageKind::join: {
@@ -97,7 +104,8 @@ PageResponse SnsServer::handle(const PageRequest& request) {
         it->second.insert(request.member);
         c_joins_->inc();
       }
-      response.body = filler(site_.confirm_page_bytes, request.weight_permille);
+      response.body_bytes =
+          filler_bytes(site_.confirm_page_bytes, request.weight_permille);
       break;
     }
     case PageKind::member_list: {
@@ -107,8 +115,8 @@ PageResponse SnsServer::handle(const PageRequest& request) {
       } else {
         response.names.assign(it->second.begin(), it->second.end());
       }
-      response.body =
-          filler(site_.member_list_page_bytes, request.weight_permille);
+      response.body_bytes =
+          filler_bytes(site_.member_list_page_bytes, request.weight_permille);
       break;
     }
     case PageKind::profile: {
@@ -124,11 +132,13 @@ PageResponse SnsServer::handle(const PageRequest& request) {
                                 comments->second.end());
         }
       }
-      response.body = filler(site_.profile_page_bytes, request.weight_permille);
+      response.body_bytes =
+          filler_bytes(site_.profile_page_bytes, request.weight_permille);
       break;
     }
     case PageKind::compose: {
-      response.body = filler(site_.compose_page_bytes, request.weight_permille);
+      response.body_bytes =
+          filler_bytes(site_.compose_page_bytes, request.weight_permille);
       break;
     }
     case PageKind::send_message: {
@@ -137,7 +147,8 @@ PageResponse SnsServer::handle(const PageRequest& request) {
       } else {
         inboxes_[request.query].push_back(request.member + ": " + request.text);
       }
-      response.body = filler(site_.confirm_page_bytes, request.weight_permille);
+      response.body_bytes =
+          filler_bytes(site_.confirm_page_bytes, request.weight_permille);
       break;
     }
     case PageKind::post_comment: {
@@ -146,17 +157,19 @@ PageResponse SnsServer::handle(const PageRequest& request) {
       } else {
         comments_[request.query].push_back(request.member + ": " + request.text);
       }
-      response.body = filler(site_.confirm_page_bytes, request.weight_permille);
+      response.body_bytes =
+          filler_bytes(site_.confirm_page_bytes, request.weight_permille);
       break;
     }
     case PageKind::inbox: {
       auto it = inboxes_.find(request.member);
       if (it != inboxes_.end()) response.names = it->second;
-      response.body = filler(site_.inbox_page_bytes, request.weight_permille);
+      response.body_bytes =
+          filler_bytes(site_.inbox_page_bytes, request.weight_permille);
       break;
     }
   }
-  c_bytes_served_->inc(response.body.size());
+  c_bytes_served_->inc(response.body_bytes);
   return response;
 }
 
@@ -169,11 +182,15 @@ void SnsServer::on_accept(net::Link link) {
       return;
     }
     // Server-side processing time before the page starts downloading.
-    const PageResponse response = handle(*request);
+    PageResponse response = handle(*request);
     const obs::prof::TagScope tag(obs::prof::Center::sns_task);
     medium_.simulator().schedule(
-        site_.server_processing, [holder, payload = encode(response)] {
-          if (holder->open()) holder->send(payload);
+        site_.server_processing,
+        [this, holder, response = std::move(response)] {
+          if (!holder->open()) return;
+          send_buf_.clear();
+          encode(response, send_buf_);
+          holder->send(send_buf_.data());
         });
   });
   link.on_break([holder] {});  // keepalive ends with the browser's task

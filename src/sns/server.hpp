@@ -55,7 +55,6 @@ class SnsServer {
 
  private:
   void on_accept(net::Link link);
-  Bytes filler(std::uint64_t base_bytes, std::uint32_t weight_permille) const;
 
   net::Medium& medium_;
   SiteProfile site_;
@@ -64,6 +63,9 @@ class SnsServer {
   std::map<std::string, std::string> profiles_;
   std::map<std::string, std::vector<std::string>> inboxes_;
   std::map<std::string, std::vector<std::string>> comments_;
+  /// Send buffer reused for every response: pages are encoded into it when
+  /// they are sent, and the link copies the bytes out synchronously.
+  proto::Writer send_buf_;
   // Registry handles (`sns.server.d<node>.*`) into the medium's registry.
   std::string metric_prefix_;
   obs::Counter* c_pages_served_ = nullptr;

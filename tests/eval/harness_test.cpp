@@ -1,6 +1,11 @@
 // Unit tests for the evaluation harness itself: scenario construction and
 // the Table 8 cell plumbing (the shape assertions live in
 // tests/integration/table8_scenario_test.cpp).
+#include <array>
+#include <cstdlib>
+#include <filesystem>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "net/medium.hpp"
@@ -91,6 +96,50 @@ TEST(Table8CellTest, PeerHoodColumnPaysNothing) {
   const Table8Cell cell = run_peerhood_column(11);
   EXPECT_EQ(cell.paid_bytes, 0u);
   EXPECT_GT(cell.free_bytes, 0u);  // Bluetooth control + session traffic
+}
+
+auto cell_values(const Table8Cell& c) {
+  return std::make_tuple(c.search_s, c.join_s, c.member_list_s, c.profile_s,
+                         c.paid_bytes, c.free_bytes);
+}
+
+TEST(Table8CellTest, TracingLeavesEveryCellUnchanged) {
+  // A column records its span trace only when a registry (or PH_TRACE_JSON)
+  // reads it; tracing must never move a cell.
+  const std::array<std::pair<sns::SiteProfile, sns::DeviceClass>, 4> columns =
+      {{{sns::facebook(), sns::nokia_n810()},
+        {sns::facebook(), sns::nokia_n95()},
+        {sns::hi5(), sns::nokia_n810()},
+        {sns::hi5(), sns::nokia_n95()}}};
+  obs::Registry registry;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const auto& [site, device] : columns) {
+      EXPECT_EQ(cell_values(run_sns_column(site, device, seed)),
+                cell_values(run_sns_column(site, device, seed, &registry)))
+          << site.name << " on " << device.name << ", seed " << seed;
+    }
+    EXPECT_EQ(cell_values(run_peerhood_column(seed)),
+              cell_values(run_peerhood_column(seed, {}, &registry)))
+        << "PeerHood, seed " << seed;
+  }
+  // The registry runs did trace: their critical path has frames in flight.
+  const obs::Histogram* transfer =
+      registry.find_histogram("eval.critical_path.sns.search.transfer_s");
+  ASSERT_NE(transfer, nullptr);
+  EXPECT_EQ(transfer->count(), 8u * columns.size());
+  EXPECT_GT(transfer->sum(), 0.0);
+}
+
+TEST(Table8CellTest, TraceJsonIsWrittenWithoutARegistry) {
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "table8_trace_test.json";
+  std::filesystem::remove(path);
+  ASSERT_EQ(setenv("PH_TRACE_JSON", path.c_str(), 1), 0);
+  (void)run_sns_column(sns::facebook(), sns::nokia_n810(), 1);
+  unsetenv("PH_TRACE_JSON");
+  ASSERT_TRUE(std::filesystem::exists(path));
+  EXPECT_GT(std::filesystem::file_size(path), 1000u);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

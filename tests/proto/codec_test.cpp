@@ -151,5 +151,63 @@ TEST(CodecTest, TakeMovesBuffer) {
   EXPECT_EQ(taken.size(), 8u);  // 4-byte length + 4 chars
 }
 
+TEST(CodecTest, FixedWidthIntegersGoldenBytes) {
+  // Pins the exact little-endian wire image of every fixed-width writer.
+  Writer w;
+  w.u8(0x01);
+  w.u16(0x0302);
+  w.u32(0x07060504);
+  w.u64(0x0f0e0d0c0b0a0908ULL);
+  w.u64(0xffffffffffffffffULL);
+  const Bytes expected = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,
+                          0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f, 0xff,
+                          0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
+  EXPECT_EQ(w.data(), expected);
+}
+
+TEST(CodecTest, FillerMatchesBytesOfTheSameRun) {
+  Writer filled;
+  filled.filler(5, 'x');
+  Writer copied;
+  copied.bytes(Bytes(5, 'x'));
+  EXPECT_EQ(filled.data(), copied.data());
+  Writer empty;
+  empty.filler(0, 'x');
+  EXPECT_EQ(empty.data(), (Bytes{0, 0, 0, 0}));
+}
+
+TEST(CodecTest, SkipBytesStepsOverWithoutCopying) {
+  Writer w;
+  w.bytes(Bytes{1, 2, 3});
+  w.u8(0x42);
+  Reader r(w.data());
+  EXPECT_EQ(r.skip_bytes().value(), 3u);
+  EXPECT_EQ(r.u8().value(), 0x42);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(CodecTest, SkipBytesRejectsLengthPastTheEnd) {
+  Writer w;
+  w.u32(4);  // claims four bytes, carries three
+  w.u8(1);
+  w.u8(2);
+  w.u8(3);
+  Reader r(w.data());
+  auto skipped = r.skip_bytes();
+  ASSERT_FALSE(skipped.ok());
+  EXPECT_EQ(skipped.error().code, Errc::protocol_error);
+}
+
+TEST(CodecTest, ClearKeepsCapacityForReuse) {
+  Writer w;
+  w.filler(100, 'x');
+  const std::size_t capacity = w.data().capacity();
+  w.clear();
+  EXPECT_TRUE(w.data().empty());
+  EXPECT_EQ(w.data().capacity(), capacity);
+  w.u8(7);
+  EXPECT_EQ(w.data(), (Bytes{7}));
+}
+
 }  // namespace
 }  // namespace ph::proto

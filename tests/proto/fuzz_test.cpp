@@ -96,12 +96,18 @@ TEST_P(FuzzTest, MutatedSnsPagesNeverCrash) {
   sns::PageResponse response;
   response.kind = sns::PageKind::member_list;
   response.names = {"dave", "emma"};
-  response.body = Bytes(256, 'x');
+  response.body_bytes = 256;
   const Bytes original = sns::encode(response);
+  // The body-length prefix sits just before the 256-byte body; a mutation
+  // landing uniformly would hit it about once in 70 rounds, so every
+  // fourth round aims at it.
+  const std::size_t body_length_at = original.size() - 256 - 4;
   for (int round = 0; round < 500; ++round) {
     Bytes mutated = original;
-    mutated[rng.uniform_int(0, mutated.size() - 1)] ^=
-        static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+    const std::size_t at =
+        round % 4 == 0 ? body_length_at + rng.uniform_int(0, 3)
+                       : rng.uniform_int(0, mutated.size() - 1);
+    mutated[at] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
     if (rng.chance(0.3)) mutated.resize(rng.uniform_int(0, mutated.size()));
     auto decoded = sns::decode_page_response(mutated);
     if (decoded.ok()) (void)sns::encode(*decoded);

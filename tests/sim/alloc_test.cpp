@@ -111,6 +111,18 @@ TEST(SimulatorAllocation, SteadyStateSchedulesWithoutHeapAllocation) {
   EXPECT_EQ(cancel_victims, 0u);
 }
 
+TEST(SimulatorAllocation, ConstructionIsCheap) {
+  // Short runs build many worlds (a Table-8 replication builds five), so
+  // a Simulator must not pay per wheel slot up front: the live-id set, the
+  // slot table, the slots' shared slab and the two heaps are the whole
+  // bill.
+  const std::size_t allocations_before = g_new_calls;
+  { Simulator simulator; }
+  const std::size_t allocations = g_new_calls - allocations_before;
+  EXPECT_LE(allocations, 8u) << "constructing and destroying a Simulator made "
+                             << allocations << " heap allocations";
+}
+
 TEST(SimulatorAllocation, ProfAttributionHotPathAllocatesNothing) {
   // Mode 1 attribution rides the dispatch loop: count() plus, with the
   // wall plane armed, two clock reads and observe_wall()'s bucket math.

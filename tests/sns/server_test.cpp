@@ -1,6 +1,8 @@
 #include "net/medium.hpp"
 #include "sns/server.hpp"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "sns/protocol.hpp"
@@ -31,14 +33,14 @@ class SnsServerTest : public ::testing::Test {
 TEST_F(SnsServerTest, HomePageHasSiteWeight) {
   auto response = server_.handle(request(PageKind::home));
   EXPECT_EQ(response.status, PageStatus::ok);
-  EXPECT_EQ(response.body.size(), facebook().home_page_bytes);
+  EXPECT_EQ(response.body_bytes, facebook().home_page_bytes);
 }
 
 TEST_F(SnsServerTest, WeightPermilleScalesBody) {
   auto request_heavy = request(PageKind::home);
   request_heavy.weight_permille = 1600;
   auto response = server_.handle(request_heavy);
-  EXPECT_EQ(response.body.size(), facebook().home_page_bytes * 1600 / 1000);
+  EXPECT_EQ(response.body_bytes, facebook().home_page_bytes * 1600 / 1000);
 }
 
 TEST_F(SnsServerTest, SearchFindsGroupsCaseInsensitively) {
@@ -87,7 +89,7 @@ TEST_F(SnsServerTest, JoinWithoutMemberNameFails) {
 TEST_F(SnsServerTest, MemberListReturnsMembers) {
   auto response = server_.handle(request(PageKind::member_list, "England Football"));
   EXPECT_EQ(response.names, (std::vector<std::string>{"dave", "emma"}));
-  EXPECT_EQ(response.body.size(), facebook().member_list_page_bytes);
+  EXPECT_EQ(response.body_bytes, facebook().member_list_page_bytes);
 }
 
 TEST_F(SnsServerTest, ProfilePageReturnsAbout) {
@@ -105,7 +107,7 @@ TEST_F(SnsServerTest, ProfileOfUnknownMemberNotFound) {
 TEST_F(SnsServerTest, ComposePageIsLight) {
   auto response = server_.handle(request(PageKind::compose));
   EXPECT_EQ(response.status, PageStatus::ok);
-  EXPECT_EQ(response.body.size(), facebook().compose_page_bytes);
+  EXPECT_EQ(response.body_bytes, facebook().compose_page_bytes);
 }
 
 TEST_F(SnsServerTest, SendMessageLandsInInbox) {
@@ -139,7 +141,7 @@ TEST_F(SnsServerTest, InboxPageListsMessages) {
   auto response = server_.handle(r);
   EXPECT_EQ(response.names,
             (std::vector<std::string>{"emma: first", "emma: second"}));
-  EXPECT_EQ(response.body.size(), facebook().inbox_page_bytes);
+  EXPECT_EQ(response.body_bytes, facebook().inbox_page_bytes);
 }
 
 TEST_F(SnsServerTest, EmptyInboxIsOkAndEmpty) {
@@ -169,10 +171,47 @@ TEST(SnsProtocolTest, PageResponseRoundTrip) {
   response.kind = PageKind::member_list;
   response.status = PageStatus::ok;
   response.names = {"a", "b"};
-  response.body = Bytes(500, 'x');
+  response.body_bytes = 500;
   auto decoded = decode_page_response(encode(response));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, response);
+}
+
+TEST(SnsProtocolTest, PageResponseWireBytesAreGolden) {
+  // The wire image a response with a 3-byte body has always had: the
+  // filler is a length-prefixed run of 'x', as if the body were
+  // Bytes(3, 'x').
+  PageResponse response;
+  response.kind = PageKind::home;
+  response.names = {"a"};
+  response.body_bytes = 3;
+  const Bytes expected = {
+      0x01,                    // kind: home
+      0x00,                    // status: ok
+      0x01, 0x00, 0x00, 0x00,  // one name
+      0x01, 0x00, 0x00, 0x00, 'a',
+      0x03, 0x00, 0x00, 0x00, 'x', 'x', 'x',  // body
+  };
+  EXPECT_EQ(encode(response), expected);
+  proto::Writer appended;
+  appended.u8(0xee);
+  encode(response, appended);
+  EXPECT_EQ(appended.data().size(), 1 + expected.size());
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                         appended.data().begin() + 1));
+}
+
+TEST(SnsProtocolTest, BodyLengthPastTheEndRejected) {
+  PageResponse response;
+  response.names = {"a"};
+  response.body_bytes = 3;
+  Bytes data = encode(response);
+  // Bump the body-length prefix (the 4 bytes before the 3-byte body) so it
+  // claims one byte more than the frame carries.
+  data[data.size() - 3 - 4] = 4;
+  auto decoded = decode_page_response(data);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, Errc::protocol_error);
 }
 
 TEST(SnsProtocolTest, BadKindRejected) {
@@ -183,7 +222,7 @@ TEST(SnsProtocolTest, BadKindRejected) {
 
 TEST(SnsProtocolTest, TruncatedResponseRejected) {
   PageResponse response;
-  response.body = Bytes(100, 'x');
+  response.body_bytes = 100;
   Bytes data = encode(response);
   data.resize(20);
   EXPECT_FALSE(decode_page_response(data).ok());
