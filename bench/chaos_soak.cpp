@@ -12,7 +12,7 @@
 // and the p50/p95/p99 of both histograms are printed next to the fault.*
 // window counters. All randomness derives from one seed (PH_CHAOS_SEED,
 // default 42), so two runs with the same seed produce byte-identical
-// metrics dumps — set PH_METRICS_JSON=/path/out.json (or PH_METRICS_CSV)
+// metrics dumps — set PH_METRICS_JSON=/path/out.json
 // and diff. PH_CHAOS_MINUTES overrides the soak horizon (default 10).
 //
 // Telemetry: an obs::Sampler scrapes the world registry every

@@ -7,7 +7,7 @@
 // that grows mildly with neighbourhood size (fan-out probing is
 // concurrent); WLAN is an order of magnitude faster.
 //
-// Set PH_METRICS_JSON=/path/out.json (or PH_METRICS_CSV) to dump the
+// Set PH_METRICS_JSON=/path/out.json to dump the
 // aggregated per-layer counters from every sweep point at exit.
 #include <cstdio>
 

@@ -3,7 +3,7 @@
 // thesis artifact — these document the harness' own capacity, i.e. how
 // large an overlay simulation the repository can drive.
 //
-// Set PH_METRICS_JSON=/path/out.json (or PH_METRICS_CSV) to also dump a
+// Set PH_METRICS_JSON=/path/out.json to also dump a
 // `sim.kernel.*` snapshot — one deterministic run of the schedule/run and
 // cancel workloads with event counts and wall-clock throughput — at exit.
 #include <benchmark/benchmark.h>

@@ -6,7 +6,7 @@
 // seeds, next to the thesis' measured numbers. The expected *shape*:
 // PeerHood search ≈ one Bluetooth inquiry (~11 s), join exactly 0 s, and a
 // total 2-4x below every SNS column.
-// Set PH_METRICS_JSON=/path/out.json (or PH_METRICS_CSV) to dump the
+// Set PH_METRICS_JSON=/path/out.json to dump the
 // aggregated per-layer counters and the per-operation latency histograms
 // (p50/p95/p99 across runs) at exit; PH_TABLE8_RUNS overrides the number
 // of seeds per column (handy for smoke tests).

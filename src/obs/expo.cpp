@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <set>
 
 #include "obs/sampler.hpp"  // quantile_from_bucket_delta
 #include "util/error.hpp"
@@ -109,6 +110,8 @@ Result<ExpoDoc> parse_exposition(const std::string& text) {
   ExpoDoc doc;
   // TYPE declarations seen so far: name -> "counter"|"gauge"|"histogram".
   std::map<std::string, std::string> types;
+  // Scalar readouts (.count, .sum, ...) sampled so far, per histogram.
+  std::map<std::string, std::set<std::string>> readouts;
   std::size_t pos = 0;
   std::size_t line_no = 0;
   while (pos < text.size()) {
@@ -159,18 +162,27 @@ Result<ExpoDoc> parse_exposition(const std::string& text) {
       const std::string bound_text =
           name.substr(brace + 12, name.size() - brace - 12 - 2);
       auto it = doc.histograms.find(base);
-      if (it == doc.histograms.end() || types[base] != "histogram") {
+      if (it == doc.histograms.end()) {
         return parse_fail(line_no, "bucket for undeclared histogram '" + base +
                                        "'");
       }
+      ExpoDoc::Hist& hist = it->second;
       double bound = 0.0;
       if (!parse_number(bound_text, bound)) {
         return parse_fail(line_no, "unparseable bucket bound");
       }
-      if (std::isfinite(bound)) {
-        it->second.bounds.push_back(bound);
+      const bool overflow = bound == std::numeric_limits<double>::infinity();
+      if (!overflow && !std::isfinite(bound)) {
+        return parse_fail(line_no, "bucket bound is neither finite nor +Inf");
       }
-      it->second.bucket_counts.push_back(
+      // The +Inf overflow bucket closes the stanza: a second one, or a
+      // finite bucket after it, would leave more buckets than bounds + 1.
+      if (hist.bucket_counts.size() > hist.bounds.size()) {
+        return parse_fail(line_no,
+                          "bucket after the +Inf bucket of '" + base + "'");
+      }
+      if (!overflow) hist.bounds.push_back(bound);
+      hist.bucket_counts.push_back(
           static_cast<std::uint64_t>(value < 0 ? 0 : value));
       continue;
     }
@@ -181,19 +193,21 @@ Result<ExpoDoc> parse_exposition(const std::string& text) {
       const std::string field = name.substr(dot + 1);
       auto it = doc.histograms.find(base);
       if (it != doc.histograms.end()) {
+        ExpoDoc::Hist& hist = it->second;
         if (field == "count") {
-          it->second.count = static_cast<std::uint64_t>(value < 0 ? 0 : value);
+          hist.count = static_cast<std::uint64_t>(value < 0 ? 0 : value);
         } else if (field == "sum") {
-          it->second.sum = value;
+          hist.sum = value;
         } else if (field == "p50") {
-          it->second.p50 = value;
+          hist.p50 = value;
         } else if (field == "p95") {
-          it->second.p95 = value;
+          hist.p95 = value;
         } else if (field == "p99") {
-          it->second.p99 = value;
+          hist.p99 = value;
         } else {
           return parse_fail(line_no, "unknown histogram field '" + field + "'");
         }
+        readouts[base].insert(field);
         continue;
       }
     }
@@ -210,6 +224,18 @@ Result<ExpoDoc> parse_exposition(const std::string& text) {
       doc.gauges[name] = value;
     } else {
       return parse_fail(line_no, "bare sample for histogram '" + name + "'");
+    }
+  }
+  for (const auto& [name, hist] : doc.histograms) {
+    for (const char* field : {"count", "sum", "p50", "p95", "p99"}) {
+      if (readouts[name].count(field) == 0) {
+        return Error{Errc::protocol_error,
+                     "histogram '" + name + "' has no ." + field + " sample"};
+      }
+    }
+    if (hist.bucket_counts.size() != hist.bounds.size() + 1) {
+      return Error{Errc::protocol_error,
+                   "histogram '" + name + "' has no +Inf bucket"};
     }
   }
   return doc;

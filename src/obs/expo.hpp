@@ -66,9 +66,21 @@ struct ExpoDoc {
   std::map<std::string, Hist> histograms;
 };
 
-/// Parses exposition text back into a document. Fails (Errc::protocol_error)
-/// on malformed lines, illegal names, duplicate TYPE declarations, or a
-/// sample whose metric was never TYPE-declared.
+/// Parses exposition text back into a document. Fails with
+/// Errc::protocol_error, naming the line where there is one, on:
+///   - a line that is neither a `# TYPE name kind` comment (kind is
+///     counter, gauge or histogram), another `#` comment, nor a
+///     `name value` sample with a numeric value;
+///   - a metric name outside [a-z0-9._]+, or a second TYPE for a name;
+///   - a sample for an undeclared metric, a bare `name value` sample for
+///     a histogram, or a histogram field other than .count, .sum, .p50,
+///     .p95, .p99 and .bucket{le="BOUND"};
+///   - a bucket bound that is not a number or +Inf, or any bucket after
+///     the histogram's +Inf bucket;
+///   - a histogram missing one of its five scalar samples or its +Inf
+///     bucket.
+/// So every parsed histogram has bucket_counts.size() == bounds.size() + 1,
+/// which render_exposition() relies on.
 Result<ExpoDoc> parse_exposition(const std::string& text);
 
 /// Folds `from` into `into`: counters add, gauges sum, histograms add

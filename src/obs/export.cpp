@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "obs/json.hpp"
+
 namespace ph::obs {
 
 namespace {
@@ -252,6 +254,95 @@ std::string to_json(const Registry& registry, const Trace* trace,
   return out;
 }
 
+namespace {
+
+Error malformed_metrics(const std::string& what) {
+  return Error{Errc::protocol_error, "metrics JSON: " + what};
+}
+
+/// A counter or bucket count: a non-negative integral number.
+bool read_count(const json::Value* v, std::uint64_t& out) {
+  if (v == nullptr || !v->is_number() || !(v->number >= 0.0) ||
+      v->number != std::floor(v->number) || v->number >= 0x1p64) {
+    return false;
+  }
+  out = static_cast<std::uint64_t>(v->number);
+  return true;
+}
+
+Result<ExpoDoc::Hist> read_histogram(const std::string& name,
+                                     const json::Value& h) {
+  if (!h.is_object()) {
+    return malformed_metrics("histogram '" + name + "' is not an object");
+  }
+  ExpoDoc::Hist hist;
+  if (!read_count(h.get("count"), hist.count)) {
+    return malformed_metrics("histogram '" + name + "' has no valid 'count'");
+  }
+  for (auto [field, out] : {std::pair{"sum", &hist.sum}, {"p50", &hist.p50},
+                            {"p95", &hist.p95}, {"p99", &hist.p99}}) {
+    const json::Value* v = h.get(field);
+    if (v == nullptr || !v->is_number()) {
+      return malformed_metrics("histogram '" + name +
+                               "' missing numeric field '" + field + "'");
+    }
+    *out = v->number;
+  }
+  const json::Value* buckets = h.get("buckets");
+  if (buckets == nullptr || !buckets->is_array() || buckets->array->empty()) {
+    return malformed_metrics("histogram '" + name + "' has no buckets");
+  }
+  for (std::size_t i = 0; i < buckets->array->size(); ++i) {
+    const json::Value& bucket = (*buckets->array)[i];
+    const json::Value* le = bucket.get("le");
+    const bool last = i + 1 == buckets->array->size();
+    // Finite bounds first, then the one "inf" overflow bucket.
+    const bool le_ok =
+        le != nullptr &&
+        (last ? le->is_string() && le->string == "inf" : le->is_number());
+    std::uint64_t count = 0;
+    if (!le_ok || !read_count(bucket.get("count"), count)) {
+      return malformed_metrics("histogram '" + name + "' bucket " +
+                               std::to_string(i) + " is malformed");
+    }
+    if (!last) hist.bounds.push_back(le->number);
+    hist.bucket_counts.push_back(count);
+  }
+  return hist;
+}
+
+}  // namespace
+
+Result<ExpoDoc> metrics_from_json(const json::Value& root) {
+  if (!root.is_object()) return malformed_metrics("top level is not an object");
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    const json::Value* table = root.get(section);
+    if (table == nullptr || !table->is_object()) {
+      return malformed_metrics(std::string("missing '") + section +
+                               "' object");
+    }
+  }
+  ExpoDoc doc;
+  for (const auto& [name, value] : *root.get("counters")->object) {
+    if (!read_count(&value, doc.counters[name])) {
+      return malformed_metrics("counter '" + name +
+                               "' is not a non-negative integer");
+    }
+  }
+  for (const auto& [name, value] : *root.get("gauges")->object) {
+    if (!value.is_number()) {
+      return malformed_metrics("gauge '" + name + "' is not a number");
+    }
+    doc.gauges[name] = value.number;
+  }
+  for (const auto& [name, value] : *root.get("histograms")->object) {
+    auto hist = read_histogram(name, value);
+    if (!hist.ok()) return std::move(hist).error();
+    doc.histograms.emplace(name, std::move(hist).value());
+  }
+  return doc;
+}
+
 std::string series_to_json(const Sampler& sampler, const SloEngine* slo) {
   std::string out;
   out.reserve(4096);
@@ -269,40 +360,6 @@ std::string series_to_json(const Sampler& sampler, const SloEngine* slo) {
     append_slo_object(out, *slo);
   }
   out += "\n}\n";
-  return out;
-}
-
-std::string to_csv(const Registry& registry) {
-  std::string out = "kind,name,field,value\n";
-  char buf[64];
-  auto row = [&](const char* kind, const std::string& name, const char* field,
-                 double value) {
-    out += kind;
-    out += ',';
-    out += name;  // convention forbids commas/quotes in metric names
-    out += ',';
-    out += field;
-    out += ',';
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += buf;
-    out += '\n';
-  };
-  for (const auto& [name, c] : registry.counters()) {
-    row("counter", name, "value", static_cast<double>(c->value()));
-  }
-  for (const auto& [name, g] : registry.gauges()) {
-    row("gauge", name, "value", g->value());
-  }
-  for (const auto& [name, h] : registry.histograms()) {
-    row("histogram", name, "count", static_cast<double>(h->count()));
-    row("histogram", name, "sum", h->sum());
-    row("histogram", name, "min", h->min());
-    row("histogram", name, "max", h->max());
-    row("histogram", name, "mean", h->mean());
-    row("histogram", name, "p50", h->p50());
-    row("histogram", name, "p95", h->p95());
-    row("histogram", name, "p99", h->p99());
-  }
   return out;
 }
 
@@ -473,14 +530,6 @@ bool dump_if_requested(const Registry& registry, const Trace* trace,
                    "obs: PH_SERIES_JSON set but this tool records no series\n");
     } else if (write_file(path, series_to_json(*sampler, slo))) {
       std::fprintf(stderr, "obs: series JSON written to %s\n", path);
-    } else {
-      ok = false;
-    }
-  }
-  if (const char* path = std::getenv("PH_METRICS_CSV");
-      path != nullptr && *path != '\0') {
-    if (write_file(path, to_csv(registry))) {
-      std::fprintf(stderr, "obs: metrics CSV written to %s\n", path);
     } else {
       ok = false;
     }

@@ -1,7 +1,7 @@
 // Exporters for the observability core: registry (+ optional trace) to
-// JSON or CSV, the trace journal to Chrome trace-event JSON (openable in
-// Perfetto / chrome://tracing), plus the env-var hooks every bench main
-// calls at exit.
+// JSON and back, the trace journal to Chrome trace-event JSON (openable
+// in Perfetto / chrome://tracing), plus the env-var hooks every bench
+// main calls at exit.
 //
 // JSON shape:
 //   {
@@ -28,9 +28,6 @@
 // ("series"/"slo" appear only when a sampler / SLO engine is supplied,
 // "spans"/"events" only when a trace is.)
 //
-// CSV shape (one instrument field per row):
-//   kind,name,field,value
-//
 // Chrome trace shape: {"traceEvents":[...]} with one track (pid=tid=
 // device id) per device, "X" complete events for closed spans, "B" for
 // still-open ones, "i" instants for point events, "s"/"f" flow arrows
@@ -44,17 +41,33 @@
 #include <map>
 #include <string>
 
+#include "obs/expo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
+#include "util/result.hpp"
 
 namespace ph::obs {
+
+namespace json {
+class Value;
+}
 
 std::string to_json(const Registry& registry, const Trace* trace = nullptr,
                     const Sampler* sampler = nullptr,
                     const SloEngine* slo = nullptr);
-std::string to_csv(const Registry& registry);
+
+/// Reads the "counters", "gauges" and "histograms" sections of a parsed
+/// to_json() document into the exposition's document type, so both wire
+/// formats are checked and queried the same way. Fails
+/// (Errc::protocol_error) when the top level is not an object, a section
+/// is missing or not an object, a counter is not a non-negative integer, a
+/// gauge is not a number, or a histogram is not an object carrying
+/// numeric count/sum/p50/p95/p99 and a non-empty "buckets" array of
+/// {"le": BOUND, "count": N} entries whose last, and only last, "le" is
+/// "inf". Other sections are not read.
+Result<ExpoDoc> metrics_from_json(const json::Value& root);
 
 /// Standalone dump of the sampler's rings (+ SLO breach windows): the
 /// "series"/"slo" sections of to_json as a self-contained document, with
@@ -84,8 +97,8 @@ std::string to_chrome_trace(
 /// Writes `content` to `path`; returns false (and logs to stderr) on error.
 bool write_file(const std::string& path, const std::string& content);
 
-/// The bench-exit hook: when the environment sets PH_METRICS_JSON (or
-/// PH_METRICS_CSV) to a path, dumps a snapshot there; PH_TRACE_JSON
+/// The bench-exit hook: when the environment sets PH_METRICS_JSON to a
+/// path, dumps a snapshot there; PH_TRACE_JSON
 /// dumps the trace as Chrome trace-event JSON (needs a trace);
 /// PH_SERIES_JSON dumps the sampler's rings via series_to_json (needs a
 /// sampler). Series/SLO sections ride along inside the metrics JSON and

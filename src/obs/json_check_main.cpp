@@ -1,560 +1,328 @@
-// ph_obs_json_check — validates a metrics JSON dump produced by
-// obs::to_json(), (with --chrome) a Chrome trace-event dump produced
-// by obs::to_chrome_trace(), (with --expo) a Prometheus-style text
-// exposition produced by obs::to_exposition() / the OpsServer /metrics
-// route, or (with --folded) a collapsed-stack profile produced by the
-// OpsServer /profile route / PH_PROF_FOLDED. Used by the ph_bench_smoke,
-// ph_trace_check, ph_ops_scrape_smoke and ph_prof_smoke CTest targets to
-// fail the build when a bench or daemon emits malformed or incomplete
-// dumps.
+// ph_obs_json_check — validates a dump and checks requirements against it.
+// The file is read in one of four formats:
+//   (default)  metrics JSON from obs::to_json()
+//   --chrome   Chrome trace-event JSON from obs::to_chrome_trace()
+//   --expo     text exposition from obs::to_exposition() / OpsServer /metrics
+//   --folded   collapsed-stack profile from OpsServer /profile / PH_PROF_FOLDED
+// Used by the ph_bench_smoke, ph_trace_check, ph_ops_scrape_smoke and
+// ph_prof_smoke CTest targets to fail the build when a bench or daemon
+// emits malformed or incomplete dumps.
 //
 // Usage:
-//   ph_obs_json_check FILE [requirement...]
-//   ph_obs_json_check --chrome FILE [requirement...]
-//   ph_obs_json_check --expo FILE [requirement...]
-//   ph_obs_json_check --folded FILE [requirement...]
+//   ph_obs_json_check [--chrome|--expo|--folded] FILE [requirement...]
 //
-// Expo-mode lint (always applied): every line is a TYPE comment or a
-// `name value` sample, metric names match [a-z0-9._]+, no metric is
-// TYPE-declared twice, no sample lacks a declaration, and every
-// histogram exports .count/.sum/.p50/.p95/.p99 plus a le="+Inf" bucket.
-// Expo-mode requirements reuse the metrics grammar subset that makes
-// sense for an exposition: counter:, counter_nonzero:, gauge:,
-// histogram:.
+// Each format's own parser decides what is well-formed:
+// obs::metrics_from_json() for the metric sections of the JSON (plus the
+// optional spans/events/series/slo sections checked below),
+// obs::parse_exposition(), obs::prof::parse_folded(), and the trace-event
+// shape checked below for --chrome.
 //
-// Metrics-mode requirements:
-//   counter:PREFIX     at least one counter whose name starts with PREFIX
-//   counter_nonzero:PREFIX
-//                      same, and at least one matching counter must be > 0
-//                      (a present-but-zero instrument means the code path
-//                      it observes never ran)
-//   gauge:PREFIX       at least one gauge whose name starts with PREFIX
-//   histogram:PREFIX   at least one histogram whose name starts with PREFIX
-//                      (must carry numeric count/sum/p50/p95/p99 fields)
-//   span:PREFIX        at least one span whose name starts with PREFIX
-//                      (needs the optional "spans" section)
-//   event:PREFIX       same for the "events" section
-//   series:PREFIX      at least one sampled time-series whose name starts
-//                      with PREFIX and holds >= 1 point (needs the optional
-//                      "series" section written when a Sampler is attached)
-//   slo_breach:PREFIX  at least one SLO breach window whose rule name
-//                      starts with PREFIX (needs the optional "slo"
-//                      section; an empty PREFIX means "any breach")
-// When present, the "spans"/"events" sections are structurally validated
-// even without explicit requirements.
-//
-// Chrome-mode requirements are NAME prefixes: at least one trace event
-// whose "name" starts with the prefix must exist. Structure (object with
-// a "traceEvents" array, every element carrying a string "ph" and the
-// fields its phase implies) is always validated.
-//
-// Folded-mode lint (always applied): every line is `stack count` where
-// the stack is one or more non-empty `;`-separated frames and the count
-// is a positive integer — the exact grammar flamegraph.pl and speedscope
-// consume (prof::parse_folded). Folded-mode requirements:
-//   frame:PREFIX       at least one stack containing a frame that starts
-//                      with PREFIX; an empty PREFIX means "any sample at
-//                      all", i.e. the profile must be non-empty
+// Requirements are KIND:PREFIX and each holds when some record of that
+// kind has a name starting with PREFIX (an empty PREFIX matches any name):
+//   counter:PREFIX          a counter                      (JSON, --expo)
+//   counter_nonzero:PREFIX  a counter > 0; a present-but-zero instrument
+//                           means the code path it observes never ran
+//                                                          (JSON, --expo)
+//   gauge:PREFIX            a gauge                        (JSON, --expo)
+//   histogram:PREFIX        a histogram                    (JSON, --expo)
+//   span:PREFIX             a record of "spans"            (JSON)
+//   event:PREFIX            a record of "events"           (JSON)
+//   series:PREFIX           a sampled series with >= 1 [at_us, value]
+//                           point; a matching series must carry a string
+//                           "kind" and a "points" array    (JSON)
+//   slo_breach:PREFIX       an SLO breach window for that rule; the
+//                           windows before it must be well-formed (JSON)
+//   frame:PREFIX            a stack with such a frame; "frame:" asks for a
+//                           non-empty profile              (--folded)
+// The one exception is --chrome, where a requirement is a bare NAME-PREFIX:
+// some trace event's "name" starts with it.
 //
 // Exits 0 when the file parses and every requirement is met; 1 otherwise.
+#include <cstdarg>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/expo.hpp"
+#include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/prof.hpp"
 
 namespace {
 
+using ph::obs::ExpoDoc;
 using ph::obs::json::Value;
 
 bool starts_with(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
 
-bool histogram_well_formed(const std::string& name, const Value& h) {
-  if (!h.is_object()) {
-    std::fprintf(stderr, "json_check: histogram '%s' is not an object\n",
-                 name.c_str());
-    return false;
-  }
-  for (const char* field : {"count", "sum", "p50", "p95", "p99"}) {
-    const Value* v = h.get(field);
-    if (v == nullptr || !v->is_number()) {
-      std::fprintf(stderr,
-                   "json_check: histogram '%s' missing numeric field '%s'\n",
-                   name.c_str(), field);
-      return false;
-    }
-  }
-  const Value* buckets = h.get("buckets");
-  if (buckets == nullptr || !buckets->is_array() || buckets->array->empty()) {
-    std::fprintf(stderr, "json_check: histogram '%s' has no buckets\n",
-                 name.c_str());
-    return false;
-  }
-  return true;
+/// Prints "json_check: <message>" to stderr; returns false for chaining.
+[[gnu::format(printf, 1, 2)]] bool fail(const char* format, ...) {
+  std::fputs("json_check: ", stderr);
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+  return false;
 }
 
-/// Every element of the optional "spans"/"events" arrays must be an object
-/// with the fields to_json() writes, correctly typed.
+/// Every element of a record array must be an object with these fields,
+/// correctly typed.
 bool record_well_formed(const char* section, std::size_t index,
                         const Value& record,
                         const std::vector<const char*>& number_fields,
                         const std::vector<const char*>& string_fields,
                         const std::vector<const char*>& bool_fields) {
-  auto fail = [&](const char* what, const char* field) {
-    std::fprintf(stderr, "json_check: %s[%zu] %s '%s'\n", section, index, what,
-                 field);
-    return false;
-  };
   if (!record.is_object()) {
-    std::fprintf(stderr, "json_check: %s[%zu] is not an object\n", section,
-                 index);
-    return false;
+    return fail("%s[%zu] is not an object", section, index);
   }
   for (const char* field : number_fields) {
     const Value* v = record.get(field);
-    if (v == nullptr || !v->is_number()) return fail("missing numeric", field);
+    if (v == nullptr || !v->is_number()) {
+      return fail("%s[%zu] missing numeric '%s'", section, index, field);
+    }
   }
   for (const char* field : string_fields) {
     const Value* v = record.get(field);
-    if (v == nullptr || !v->is_string()) return fail("missing string", field);
+    if (v == nullptr || !v->is_string()) {
+      return fail("%s[%zu] missing string '%s'", section, index, field);
+    }
   }
   for (const char* field : bool_fields) {
     const Value* v = record.get(field);
     if (v == nullptr || v->kind != Value::Kind::boolean) {
-      return fail("missing boolean", field);
+      return fail("%s[%zu] missing boolean '%s'", section, index, field);
     }
   }
   return true;
 }
 
-bool trace_sections_well_formed(const Value& root) {
-  if (const Value* spans = root.get("spans")) {
-    if (!spans->is_array()) {
-      std::fprintf(stderr, "json_check: 'spans' is not an array\n");
-      return false;
-    }
-    for (std::size_t i = 0; i < spans->array->size(); ++i) {
-      if (!record_well_formed("spans", i, (*spans->array)[i],
-                              {"id", "parent", "device", "start_us", "end_us"},
-                              {"name", "kind"}, {"closed"})) {
+/// The optional sections to_json() writes next to the metric ones must be
+/// well-typed whenever present.
+bool optional_sections_well_formed(const Value& root) {
+  struct Section {
+    const char* name;
+    std::vector<const char*> numbers, strings, bools;
+  };
+  for (const Section& s :
+       {Section{"spans",
+                {"id", "parent", "device", "start_us", "end_us"},
+                {"name", "kind"},
+                {"closed"}},
+        Section{"events", {"span", "device", "at_us"}, {"name", "kind"}, {}}}) {
+    const Value* records = root.get(s.name);
+    if (records == nullptr) continue;
+    if (!records->is_array()) return fail("'%s' is not an array", s.name);
+    for (std::size_t i = 0; i < records->array->size(); ++i) {
+      if (!record_well_formed(s.name, i, (*records->array)[i], s.numbers,
+                              s.strings, s.bools)) {
         return false;
       }
     }
   }
-  if (const Value* events = root.get("events")) {
-    if (!events->is_array()) {
-      std::fprintf(stderr, "json_check: 'events' is not an array\n");
-      return false;
-    }
-    for (std::size_t i = 0; i < events->array->size(); ++i) {
-      if (!record_well_formed("events", i, (*events->array)[i],
-                              {"span", "device", "at_us"}, {"name", "kind"},
-                              {})) {
-        return false;
-      }
+  if (const Value* series = root.get("series");
+      series != nullptr && !series->is_object()) {
+    return fail("'series' is not an object");
+  }
+  if (const Value* slo = root.get("slo"); slo != nullptr) {
+    const Value* windows = slo->get("windows");
+    const Value* rules = slo->get("rules");
+    if (windows == nullptr || !windows->is_array() || rules == nullptr ||
+        !rules->is_array()) {
+      return fail("'slo' needs 'rules' and 'windows' arrays");
     }
   }
   return true;
 }
 
-/// span:PREFIX / event:PREFIX — at least one record in the section whose
-/// "name" starts with PREFIX.
-bool check_trace_requirement(const Value& root, const std::string& kind,
-                             const std::string& prefix) {
-  const char* section = kind == "span" ? "spans" : "events";
-  const Value* records = root.get(section);
-  if (records == nullptr || !records->is_array()) {
-    std::fprintf(stderr, "json_check: missing '%s' array (requirement %s:%s)\n",
-                 section, kind.c_str(), prefix.c_str());
-    return false;
+/// --chrome: the dump must be {"traceEvents":[...]} where every element
+/// carries a string "ph" plus the fields its phase implies. Returns the
+/// events, or nullptr when malformed.
+const ph::obs::json::Array* chrome_events(const Value& root) {
+  const Value* events = root.get("traceEvents");
+  if (events == nullptr || !events->is_array()) {
+    fail("missing 'traceEvents' array");
+    return nullptr;
   }
-  for (const Value& record : *records->array) {
-    const Value* name = record.is_object() ? record.get("name") : nullptr;
+  for (std::size_t i = 0; i < events->array->size(); ++i) {
+    const Value& event = (*events->array)[i];
+    if (!event.is_object()) {
+      fail("traceEvents[%zu] is not an object", i);
+      return nullptr;
+    }
+    const Value* ph = event.get("ph");
+    if (ph == nullptr || !ph->is_string() || ph->string.empty()) {
+      fail("traceEvents[%zu] has no 'ph'", i);
+      return nullptr;
+    }
+    const std::string& phase = ph->string;
+    std::vector<const char*> number_fields = {"pid", "tid"};
+    std::vector<const char*> string_fields;
+    if (phase != "M") number_fields.push_back("ts");
+    if (phase == "X") number_fields.push_back("dur");
+    if (phase == "X" || phase == "B" || phase == "i" || phase == "C") {
+      string_fields.push_back("name");
+    }
+    if (!record_well_formed("traceEvents", i, event, number_fields,
+                            string_fields, {})) {
+      return nullptr;
+    }
+    // Counter samples carry their value in args — that is what the trace
+    // viewer plots on the per-device counter track.
+    const Value* args = event.get("args");
+    const Value* value = args != nullptr ? args->get("value") : nullptr;
+    if (phase == "C" && (value == nullptr || !value->is_number())) {
+      fail("traceEvents[%zu] 'C' event has no numeric args.value", i);
+      return nullptr;
+    }
+  }
+  return events->array.get();
+}
+
+/// The parsed document, or nullptr after printing why it failed to parse.
+template <typename T>
+const T* parsed(const ph::Result<T>& result, const char* path) {
+  if (result.ok()) return &result.value();
+  fail("%s: %s", path, result.error().to_string().c_str());
+  return nullptr;
+}
+
+/// What a requirement is checked against; which members are set depends
+/// on the mode.
+struct Inputs {
+  const Value* json = nullptr;       // metrics JSON
+  const ExpoDoc* metrics = nullptr;  // metrics JSON, --expo
+  const ph::obs::prof::FoldedProfile* profile = nullptr;  // --folded
+  const ph::obs::json::Array* trace_events = nullptr;     // --chrome
+};
+
+bool any_name(const ph::obs::json::Array& records, const std::string& prefix) {
+  for (const Value& record : records) {
+    const Value* name = record.get("name");
     if (name != nullptr && name->is_string() &&
         starts_with(name->string, prefix)) {
       return true;
     }
   }
-  std::fprintf(stderr, "json_check: no %s matching prefix '%s'\n", kind.c_str(),
-               prefix.c_str());
   return false;
 }
 
-/// series:PREFIX — a matching entry in the "series" object carrying a
-/// string "kind" and a non-empty "points" array of [at_us, value] pairs.
-bool check_series_requirement(const Value& root, const std::string& prefix) {
-  const Value* series = root.get("series");
-  if (series == nullptr || !series->is_object()) {
-    std::fprintf(stderr,
-                 "json_check: missing 'series' object (requirement series:%s)\n",
-                 prefix.c_str());
-    return false;
+template <typename Table, typename Accept>
+bool any_metric(const Table& table, const std::string& prefix, Accept accept) {
+  for (const auto& [name, value] : table) {
+    if (starts_with(name, prefix) && accept(value)) return true;
   }
+  return false;
+}
+
+bool series_met(const Value& root, const std::string& prefix) {
+  const Value* series = root.get("series");
+  if (series == nullptr) return fail("missing 'series' object");
   for (const auto& [name, record] : *series->object) {
     if (!starts_with(name, prefix)) continue;
-    const Value* kind = record.is_object() ? record.get("kind") : nullptr;
-    const Value* points = record.is_object() ? record.get("points") : nullptr;
+    const Value* kind = record.get("kind");
+    const Value* points = record.get("points");
     if (kind == nullptr || !kind->is_string() || points == nullptr ||
         !points->is_array()) {
-      std::fprintf(stderr, "json_check: series '%s' is malformed\n",
-                   name.c_str());
-      return false;
+      return fail("series '%s' is malformed", name.c_str());
     }
     if (points->array->empty()) continue;  // registered but never sampled
     for (const Value& point : *points->array) {
       if (!point.is_array() || point.array->size() != 2 ||
           !(*point.array)[0].is_number() || !(*point.array)[1].is_number()) {
-        std::fprintf(stderr,
-                     "json_check: series '%s' has a non-[at,value] point\n",
-                     name.c_str());
-        return false;
+        return fail("series '%s' has a non-[at,value] point", name.c_str());
       }
     }
     return true;
   }
-  std::fprintf(stderr, "json_check: no non-empty series matching prefix '%s'\n",
-               prefix.c_str());
   return false;
 }
 
-/// slo_breach:PREFIX — the "slo" section records at least one breach window
-/// for a rule whose name starts with PREFIX.
-bool check_slo_breach_requirement(const Value& root, const std::string& prefix) {
+bool slo_breach_met(const Value& root, const std::string& prefix) {
   const Value* slo = root.get("slo");
-  if (slo == nullptr || !slo->is_object()) {
-    std::fprintf(
-        stderr,
-        "json_check: missing 'slo' object (requirement slo_breach:%s)\n",
-        prefix.c_str());
-    return false;
-  }
-  const Value* windows = slo->get("windows");
-  if (windows == nullptr || !windows->is_array()) {
-    std::fprintf(stderr, "json_check: 'slo' has no 'windows' array\n");
-    return false;
-  }
-  for (std::size_t i = 0; i < windows->array->size(); ++i) {
-    const Value& window = (*windows->array)[i];
-    if (!record_well_formed("slo.windows", i, window, {"start_us", "end_us"},
-                            {"rule"}, {"open"})) {
+  if (slo == nullptr) return fail("missing 'slo' object");
+  const ph::obs::json::Array& windows = *slo->get("windows")->array;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    if (!record_well_formed("slo.windows", i, windows[i],
+                            {"start_us", "end_us"}, {"rule"}, {"open"})) {
       return false;
     }
-    if (starts_with(window.get("rule")->string, prefix)) return true;
+    if (starts_with(windows[i].get("rule")->string, prefix)) return true;
   }
-  std::fprintf(stderr, "json_check: no SLO breach window for rule '%s...'\n",
-               prefix.c_str());
   return false;
 }
 
-bool check_requirement(const Value& root, const std::string& requirement) {
-  const std::string::size_type colon = requirement.find(':');
+bool frame_met(const ph::obs::prof::FoldedProfile& profile,
+               const std::string& prefix) {
+  for (const auto& entry : profile) {
+    const std::string& stack = entry.first;
+    for (std::size_t begin = 0; begin <= stack.size();) {
+      const std::size_t end = stack.find(';', begin);
+      if (starts_with(stack.substr(begin, end - begin), prefix)) return true;
+      if (end == std::string::npos) break;
+      begin = end + 1;
+    }
+  }
+  return false;
+}
+
+/// The one requirement matcher: true when `text` holds for `in`; prints
+/// why and returns false otherwise.
+bool requirement_met(const Inputs& in, const std::string& text) {
+  if (in.trace_events != nullptr) {
+    return any_name(*in.trace_events, text) ||
+           fail("no trace event named '%s...'", text.c_str());
+  }
+  const std::string::size_type colon = text.find(':');
   if (colon == std::string::npos) {
-    std::fprintf(stderr, "json_check: bad requirement '%s'\n",
-                 requirement.c_str());
-    return false;
+    return fail("bad requirement '%s'", text.c_str());
   }
-  const std::string kind = requirement.substr(0, colon);
-  const std::string prefix = requirement.substr(colon + 1);
-  if (kind == "span" || kind == "event") {
-    return check_trace_requirement(root, kind, prefix);
-  }
-  if (kind == "series") return check_series_requirement(root, prefix);
-  if (kind == "slo_breach") return check_slo_breach_requirement(root, prefix);
-  const char* section = nullptr;
-  if (kind == "counter" || kind == "counter_nonzero") {
-    section = "counters";
-  } else if (kind == "gauge") {
-    section = "gauges";
-  } else if (kind == "histogram") {
-    section = "histograms";
+  const std::string kind = text.substr(0, colon);
+  const std::string prefix = text.substr(colon + 1);
+  const Value* json = in.json;
+  const ExpoDoc* doc = in.metrics;
+  bool met = false;
+  if (doc != nullptr && kind == "counter") {
+    met = any_metric(doc->counters, prefix, [](auto) { return true; });
+  } else if (doc != nullptr && kind == "counter_nonzero") {
+    met = any_metric(doc->counters, prefix, [](auto v) { return v > 0; });
+  } else if (doc != nullptr && kind == "gauge") {
+    met = any_metric(doc->gauges, prefix, [](auto) { return true; });
+  } else if (doc != nullptr && kind == "histogram") {
+    met = any_metric(doc->histograms, prefix, [](auto&) { return true; });
+  } else if (json != nullptr && (kind == "span" || kind == "event")) {
+    const Value* records = json->get(kind == "span" ? "spans" : "events");
+    if (records == nullptr) {
+      return fail("missing '%ss' array (requirement %s)", kind.c_str(),
+                  text.c_str());
+    }
+    met = any_name(*records->array, prefix);
+  } else if (json != nullptr && kind == "series") {
+    met = series_met(*json, prefix);
+  } else if (json != nullptr && kind == "slo_breach") {
+    met = slo_breach_met(*json, prefix);
+  } else if (in.profile != nullptr && kind == "frame") {
+    met = frame_met(*in.profile, prefix);
   } else {
-    std::fprintf(stderr, "json_check: unknown requirement kind '%s'\n",
-                 kind.c_str());
-    return false;
+    return fail("requirement kind '%s' does not apply to this file",
+                kind.c_str());
   }
-  const Value* table = root.get(section);
-  if (table == nullptr || !table->is_object()) {
-    std::fprintf(stderr, "json_check: missing '%s' object\n", section);
-    return false;
-  }
-  bool found_zero_only = false;
-  for (const auto& [name, value] : *table->object) {
-    if (!starts_with(name, prefix)) continue;
-    if (kind == "histogram") {
-      return histogram_well_formed(name, value);
-    }
-    if (!value.is_number()) {
-      std::fprintf(stderr, "json_check: %s '%s' is not a number\n",
-                   kind == "gauge" ? "gauge" : "counter", name.c_str());
-      return false;
-    }
-    if (kind == "counter_nonzero" && value.number == 0.0) {
-      found_zero_only = true;  // keep looking for a nonzero match
-      continue;
-    }
-    return true;
-  }
-  if (found_zero_only) {
-    std::fprintf(stderr,
-                 "json_check: every counter matching prefix '%s' is zero\n",
-                 prefix.c_str());
-  } else {
-    std::fprintf(stderr, "json_check: no %s matching prefix '%s'\n",
-                 kind.c_str(), prefix.c_str());
-  }
-  return false;
-}
-
-/// --chrome: the dump must be {"traceEvents":[...]} where every element
-/// carries a string "ph" plus the fields its phase implies; requirements
-/// are name prefixes.
-int check_chrome(const char* path, const Value& root, int argc, char** argv,
-                 int first_requirement) {
-  const Value* events = root.get("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    std::fprintf(stderr, "json_check: %s: missing 'traceEvents' array\n", path);
-    return 1;
-  }
-  for (std::size_t i = 0; i < events->array->size(); ++i) {
-    const Value& event = (*events->array)[i];
-    if (!event.is_object()) {
-      std::fprintf(stderr, "json_check: traceEvents[%zu] is not an object\n", i);
-      return 1;
-    }
-    const Value* ph = event.get("ph");
-    if (ph == nullptr || !ph->is_string() || ph->string.empty()) {
-      std::fprintf(stderr, "json_check: traceEvents[%zu] has no 'ph'\n", i);
-      return 1;
-    }
-    std::vector<const char*> number_fields = {"pid", "tid"};
-    std::vector<const char*> string_fields;
-    if (ph->string != "M") number_fields.push_back("ts");
-    if (ph->string == "X") number_fields.push_back("dur");
-    if (ph->string == "X" || ph->string == "B" || ph->string == "i" ||
-        ph->string == "C") {
-      string_fields.push_back("name");
-    }
-    if (!record_well_formed("traceEvents", i, event, number_fields,
-                            string_fields, {})) {
-      return 1;
-    }
-    if (ph->string == "C") {
-      // Counter samples carry their value in args — that is what the
-      // trace viewer plots on the per-device counter track.
-      const Value* args = event.get("args");
-      const Value* value =
-          args != nullptr && args->is_object() ? args->get("value") : nullptr;
-      if (value == nullptr || !value->is_number()) {
-        std::fprintf(stderr,
-                     "json_check: traceEvents[%zu] 'C' event has no numeric "
-                     "args.value\n",
-                     i);
-        return 1;
-      }
-    }
-  }
-  bool ok = true;
-  for (int i = first_requirement; i < argc; ++i) {
-    const std::string prefix = argv[i];
-    bool found = false;
-    for (const Value& event : *events->array) {
-      const Value* name = event.get("name");
-      if (name != nullptr && name->is_string() &&
-          starts_with(name->string, prefix)) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "json_check: no trace event named '%s...'\n",
-                   prefix.c_str());
-      ok = false;
-    }
-  }
-  if (ok) {
-    std::fprintf(stderr, "json_check: %s OK (chrome, %zu events)\n", path,
-                 events->array->size());
-  }
-  return ok ? 0 : 1;
-}
-
-/// --expo: lint a text exposition. parse_exposition() already rejects
-/// malformed lines, illegal names, duplicate TYPEs and undeclared
-/// samples; on top of that every declared histogram must actually export
-/// its scalar readouts and an explicit overflow bucket. Requirements are
-/// the metric-prefix subset (counter:/counter_nonzero:/gauge:/histogram:)
-/// evaluated against the parsed document.
-int check_expo(const char* path, const std::string& text, int argc,
-               char** argv, int first_requirement) {
-  auto parsed = ph::obs::parse_exposition(text);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "json_check: %s: %s\n", path,
-                 parsed.error().to_string().c_str());
-    return 1;
-  }
-  const ph::obs::ExpoDoc& doc = parsed.value();
-  auto has_line_prefix = [&text](const std::string& prefix) {
-    std::size_t pos = 0;
-    while ((pos = text.find(prefix, pos)) != std::string::npos) {
-      if (pos == 0 || text[pos - 1] == '\n') return true;
-      pos += prefix.size();
-    }
-    return false;
-  };
-  for (const auto& [name, hist] : doc.histograms) {
-    for (const char* field : {".count ", ".sum ", ".p50 ", ".p95 ", ".p99 "}) {
-      if (!has_line_prefix(name + field)) {
-        std::fprintf(stderr, "json_check: %s: histogram '%s' missing '%s%s'\n",
-                     path, name.c_str(), name.c_str(), field);
-        return 1;
-      }
-    }
-    if (!has_line_prefix(name + ".bucket{le=\"+Inf\"} ")) {
-      std::fprintf(stderr,
-                   "json_check: %s: histogram '%s' has no +Inf bucket\n", path,
-                   name.c_str());
-      return 1;
-    }
-    if (hist.bucket_counts.size() != hist.bounds.size() + 1) {
-      std::fprintf(stderr,
-                   "json_check: %s: histogram '%s' bucket/bound mismatch "
-                   "(%zu buckets, %zu bounds)\n",
-                   path, name.c_str(), hist.bucket_counts.size(),
-                   hist.bounds.size());
-      return 1;
-    }
-  }
-  bool ok = true;
-  for (int i = first_requirement; i < argc; ++i) {
-    const std::string requirement = argv[i];
-    const std::string::size_type colon = requirement.find(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "json_check: bad requirement '%s'\n",
-                   requirement.c_str());
-      ok = false;
-      continue;
-    }
-    const std::string kind = requirement.substr(0, colon);
-    const std::string prefix = requirement.substr(colon + 1);
-    bool found = false;
-    if (kind == "counter" || kind == "counter_nonzero") {
-      for (const auto& [name, value] : doc.counters) {
-        if (!starts_with(name, prefix)) continue;
-        if (kind == "counter_nonzero" && value == 0) continue;
-        found = true;
-        break;
-      }
-    } else if (kind == "gauge") {
-      for (const auto& [name, value] : doc.gauges) {
-        (void)value;
-        if (starts_with(name, prefix)) {
-          found = true;
-          break;
-        }
-      }
-    } else if (kind == "histogram") {
-      for (const auto& [name, hist] : doc.histograms) {
-        (void)hist;
-        if (starts_with(name, prefix)) {
-          found = true;
-          break;
-        }
-      }
-    } else {
-      std::fprintf(stderr,
-                   "json_check: unknown expo requirement kind '%s'\n",
-                   kind.c_str());
-      ok = false;
-      continue;
-    }
-    if (!found) {
-      std::fprintf(stderr, "json_check: no %s matching prefix '%s'\n",
-                   kind.c_str(), prefix.c_str());
-      ok = false;
-    }
-  }
-  if (ok) {
-    std::fprintf(stderr,
-                 "json_check: %s OK (expo, %zu counters, %zu gauges, "
-                 "%zu histograms)\n",
-                 path, doc.counters.size(), doc.gauges.size(),
-                 doc.histograms.size());
-  }
-  return ok ? 0 : 1;
-}
-
-/// --folded: the file must parse as a collapsed-stack profile (strict
-/// line grammar, positive counts); requirements are frame:PREFIX — some
-/// stack must contain a frame starting with PREFIX (empty = any sample).
-int check_folded(const char* path, const std::string& text, int argc,
-                 char** argv, int first_requirement) {
-  auto parsed = ph::obs::prof::parse_folded(text);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "json_check: %s: %s\n", path,
-                 parsed.error().to_string().c_str());
-    return 1;
-  }
-  const ph::obs::prof::FoldedProfile& profile = parsed.value();
-  bool ok = true;
-  for (int i = first_requirement; i < argc; ++i) {
-    const std::string requirement = argv[i];
-    if (requirement.rfind("frame:", 0) != 0) {
-      std::fprintf(stderr, "json_check: unknown folded requirement '%s'\n",
-                   requirement.c_str());
-      ok = false;
-      continue;
-    }
-    const std::string prefix = requirement.substr(6);
-    bool found = false;
-    for (const auto& [stack, count] : profile) {
-      (void)count;
-      std::size_t begin = 0;
-      while (!found && begin <= stack.size()) {
-        const std::size_t end = stack.find(';', begin);
-        const std::string frame =
-            stack.substr(begin, end == std::string::npos ? end : end - begin);
-        if (starts_with(frame, prefix)) found = true;
-        if (end == std::string::npos) break;
-        begin = end + 1;
-      }
-      if (found) break;
-    }
-    if (!found) {
-      std::fprintf(stderr,
-                   prefix.empty()
-                       ? "json_check: profile has no samples at all%s\n"
-                       : "json_check: no stack with a frame matching '%s'\n",
-                   prefix.c_str());
-      ok = false;
-    }
-  }
-  if (ok) {
-    std::fprintf(stderr, "json_check: %s OK (folded, %zu distinct stacks)\n",
-                 path, profile.size());
-  }
-  return ok ? 0 : 1;
+  return met || fail("requirement %s not met", text.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool chrome = false;
-  bool expo = false;
-  bool folded = false;
+  std::string mode;
   int file_arg = 1;
-  if (argc >= 2 && std::string(argv[1]) == "--chrome") {
-    chrome = true;
-    file_arg = 2;
-  } else if (argc >= 2 && std::string(argv[1]) == "--expo") {
-    expo = true;
-    file_arg = 2;
-  } else if (argc >= 2 && std::string(argv[1]) == "--folded") {
-    folded = true;
+  if (argc >= 2 && (std::string(argv[1]) == "--chrome" ||
+                    std::string(argv[1]) == "--expo" ||
+                    std::string(argv[1]) == "--folded")) {
+    mode = argv[1];
     file_arg = 2;
   }
   if (argc < file_arg + 1) {
@@ -570,77 +338,52 @@ int main(int argc, char** argv) {
   const char* path = argv[file_arg];
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "json_check: cannot open '%s'\n", path);
+    fail("cannot open '%s'", path);
     return 1;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string text = buffer.str();
 
-  if (expo) return check_expo(path, text, argc, argv, file_arg + 1);
-  if (folded) return check_folded(path, text, argc, argv, file_arg + 1);
-
+  Inputs inputs;
   Value root;
-  std::string error;
-  if (!ph::obs::json::parse(text, root, &error)) {
-    std::fprintf(stderr, "json_check: %s: parse error: %s\n", path,
-                 error.c_str());
-    return 1;
-  }
-  if (!root.is_object()) {
-    std::fprintf(stderr, "json_check: %s: top level is not an object\n", path);
-    return 1;
-  }
-  if (chrome) return check_chrome(path, root, argc, argv, file_arg + 1);
-  // Structural sanity independent of explicit requirements: the three metric
-  // sections must exist and every counter/gauge value must be a number; the
-  // optional spans/events sections must be well-typed when present.
-  for (const char* section : {"counters", "gauges", "histograms"}) {
-    const Value* table = root.get(section);
-    if (table == nullptr || !table->is_object()) {
-      std::fprintf(stderr, "json_check: %s: missing '%s' object\n", path,
-                   section);
+  ph::Result<ExpoDoc> metrics = ExpoDoc{};
+  ph::Result<ph::obs::prof::FoldedProfile> profile =
+      ph::obs::prof::FoldedProfile{};
+  if (mode == "--expo") {
+    metrics = ph::obs::parse_exposition(text);
+    inputs.metrics = parsed(metrics, path);
+    if (inputs.metrics == nullptr) return 1;
+  } else if (mode == "--folded") {
+    profile = ph::obs::prof::parse_folded(text);
+    inputs.profile = parsed(profile, path);
+    if (inputs.profile == nullptr) return 1;
+  } else {
+    std::string error;
+    if (!ph::obs::json::parse(text, root, &error)) {
+      fail("%s: parse error: %s", path, error.c_str());
       return 1;
     }
-  }
-  for (const char* section : {"counters", "gauges"}) {
-    for (const auto& [name, value] : *root.get(section)->object) {
-      if (!value.is_number()) {
-        std::fprintf(stderr, "json_check: %s: %s '%s' is not a number\n", path,
-                     section, name.c_str());
+    if (mode == "--chrome") {
+      inputs.trace_events = chrome_events(root);
+      if (inputs.trace_events == nullptr) return 1;
+    } else {
+      metrics = ph::obs::metrics_from_json(root);
+      inputs.metrics = parsed(metrics, path);
+      if (inputs.metrics == nullptr || !optional_sections_well_formed(root)) {
         return 1;
       }
-    }
-  }
-  for (const auto& [name, value] : *root.get("histograms")->object) {
-    if (!histogram_well_formed(name, value)) return 1;
-  }
-  if (!trace_sections_well_formed(root)) return 1;
-  // The optional telemetry sections must be well-typed whenever present,
-  // matching the spans/events treatment above.
-  if (const Value* series = root.get("series");
-      series != nullptr && !series->is_object()) {
-    std::fprintf(stderr, "json_check: %s: 'series' is not an object\n", path);
-    return 1;
-  }
-  if (const Value* slo = root.get("slo"); slo != nullptr) {
-    if (!slo->is_object() || slo->get("windows") == nullptr ||
-        !slo->get("windows")->is_array() || slo->get("rules") == nullptr ||
-        !slo->get("rules")->is_array()) {
-      std::fprintf(stderr,
-                   "json_check: %s: 'slo' needs 'rules' and 'windows' arrays\n",
-                   path);
-      return 1;
+      inputs.json = &root;
     }
   }
 
   bool ok = true;
   for (int i = file_arg + 1; i < argc; ++i) {
-    if (!check_requirement(root, argv[i])) ok = false;
+    if (!requirement_met(inputs, argv[i])) ok = false;
   }
-  if (ok) {
-    std::fprintf(stderr, "json_check: %s OK (%d requirement%s)\n", path,
-                 argc - file_arg - 1, argc - file_arg - 1 == 1 ? "" : "s");
-  }
-  return ok ? 0 : 1;
+  if (!ok) return 1;
+  std::fprintf(stderr, "json_check: %s OK (%s%d requirement%s)\n", path,
+               mode.empty() ? "" : (mode.substr(2) + ", ").c_str(),
+               argc - file_arg - 1, argc - file_arg - 1 == 1 ? "" : "s");
+  return 0;
 }

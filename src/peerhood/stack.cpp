@@ -2,29 +2,12 @@
 
 #include "transport/sim_transport.hpp"
 #include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace ph::peerhood {
-
-namespace {
-
-/// Best-effort: the flag asks, the transport decides. Sim has no ops
-/// server and that must not abort a scenario that also runs on sockets.
-void maybe_enable_ops_server(transport::Transport& transport,
-                             const StackConfig& config) {
-  if (!config.ops_server) return;
-  if (auto started = transport.enable_ops_server(); !started) {
-    PH_LOG(warn, "stack") << "ops server unavailable: "
-                          << started.error().to_string();
-  }
-}
-
-}  // namespace
 
 Stack::Stack(transport::Transport& transport, StackConfig config,
              std::unique_ptr<sim::MobilityModel> mobility)
     : transport_(transport) {
-  maybe_enable_ops_server(transport_, config);
   id_ = transport_.add_device(config.device_name, std::move(mobility));
   daemon_ = std::make_unique<Daemon>(transport_, id_, config.device_name,
                                      config.daemon);

@@ -31,10 +31,6 @@ struct StackConfig {
   /// Substrate for the config-only constructor; the Stack(Transport&, ...)
   /// overload fills it in.
   transport::Transport* transport = nullptr;
-  /// Ask the transport to start its live ops endpoint (/metrics, /series,
-  /// /slo, /flight over a UNIX socket). Transports without one (sim) log a
-  /// warning and continue — the flag is best-effort by design.
-  bool ops_server = false;
 
   // Fluent builder, so call sites read as one declarative expression:
   //   Stack s(StackConfig{}.with_name("phone").with_radios({...})
@@ -57,10 +53,6 @@ struct StackConfig {
   }
   StackConfig& with_transport(transport::Transport& t) {
     transport = &t;
-    return *this;
-  }
-  StackConfig& with_ops_server(bool on = true) {
-    ops_server = on;
     return *this;
   }
 };

@@ -1214,7 +1214,6 @@ void SocketTransport::scrape_telemetry() {
 }
 
 void SocketTransport::enable_profiler() {
-  if (profiler_ != nullptr) return;
   profiler_ = std::make_unique<obs::prof::WallProfiler>();
   // The transport is single-threaded: construction and run_until happen on
   // the same (loop) thread, so registering here binds the right stack.
@@ -1223,7 +1222,6 @@ void SocketTransport::enable_profiler() {
 }
 
 Result<void> SocketTransport::enable_ops_server() {
-  if (ops_ != nullptr) return ok();
   enable_telemetry();
   obs::OpsServerConfig ops_config;
   ops_config.socket_path =

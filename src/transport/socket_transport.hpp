@@ -61,8 +61,10 @@ struct SocketTransportConfig {
   /// channel RTT probes, Sampler/SloEngine tick). 0 = telemetry off
   /// unless the ops server turns it on with its 100 ms default.
   std::uint64_t sample_interval_us = 0;
-  /// Start the live ops endpoint (<socket_dir>/d<first_device_id>.ops)
-  /// at construction; equivalent to calling enable_ops_server().
+  /// Start the live ops endpoint (<socket_dir>/d<first_device_id>.ops,
+  /// serving /metrics, /series, /slo, /flight and /profile) at
+  /// construction. Turns telemetry sampling on (100 ms wall default) when
+  /// sample_interval_us left it off.
   bool ops_server = false;
   /// Start the Mode 2 sampling profiler (obs::prof::WallProfiler) at
   /// construction: the loop thread registers its span stack and a 100 Hz
@@ -96,22 +98,12 @@ class SocketTransport final : public Transport {
   /// Live channel fds across all endpoints (leak check for tests).
   std::size_t open_channel_count() const noexcept;
 
-  /// Starts the live ops endpoint at <socket_dir>/d<first_device_id>.ops
-  /// and registers its fd with the epoll loop. Turns telemetry sampling on
-  /// (100 ms wall default) when the config left it off. Idempotent.
-  Result<void> enable_ops_server() override;
-
-  /// The wall-clock telemetry sampler / SLO engine; nullptr until
-  /// telemetry is enabled (config.sample_interval_us or the ops server).
+  /// The wall-clock telemetry sampler / SLO engine; nullptr unless
+  /// telemetry is enabled (config.sample_interval_us or config.ops_server).
   obs::Sampler* sampler() noexcept { return sampler_.get(); }
   obs::SloEngine* slo_engine() noexcept { return slo_.get(); }
 
-  /// Starts the Mode 2 sampling profiler: registers the calling thread
-  /// (the loop thread) as "loop" and begins 100 Hz sampling. Call before
-  /// enable_ops_server() for the /profile route to pick it up — the
-  /// config.profiler path does both in order. Idempotent.
-  void enable_profiler();
-  /// nullptr until enable_profiler().
+  /// nullptr unless config.profiler.
   obs::prof::WallProfiler* profiler() noexcept { return profiler_.get(); }
 
   /// Monotonic WALL microseconds since transport construction — the time
@@ -149,6 +141,13 @@ class SocketTransport final : public Transport {
   /// Starts wall-clock telemetry: Sampler + SloEngine over the WallClock
   /// and a self-rescheduling scrape at config_.sample_interval_us.
   void enable_telemetry();
+  /// Starts the Mode 2 sampling profiler: registers the calling thread
+  /// (the loop thread) as "loop" and begins 100 Hz sampling. Runs before
+  /// enable_ops_server() so the /profile route picks it up.
+  void enable_profiler();
+  /// Starts the live ops endpoint at <socket_dir>/d<first_device_id>.ops
+  /// and registers its fd with the epoll loop, turning telemetry on.
+  Result<void> enable_ops_server();
   /// One scrape: refresh per-device queue gauges, send channel RTT
   /// probes, tick the sampler and SLO engine.
   void scrape_telemetry();
@@ -190,7 +189,7 @@ class SocketTransport final : public Transport {
   obs::Counter* c_backpressure_ = nullptr;
   obs::Counter* c_rtt_probes_ = nullptr;
 
-  // Wall-clock telemetry plane (enable_telemetry / enable_ops_server).
+  // Wall-clock telemetry plane (config.sample_interval_us / ops_server).
   obs::WallClock wall_clock_;
   std::unique_ptr<obs::Sampler> sampler_;
   std::unique_ptr<obs::SloEngine> slo_;

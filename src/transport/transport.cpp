@@ -46,9 +46,4 @@ TransportMetrics register_transport_metrics(obs::Registry& registry) {
   return m;
 }
 
-Result<void> Transport::enable_ops_server() {
-  return Error{Errc::not_supported,
-               std::string(name()) + " transport has no ops server"};
-}
-
 }  // namespace ph::transport

@@ -274,13 +274,6 @@ class Transport {
 
   /// The device's endpoint for a technology, or nullptr if it has none.
   virtual Endpoint* endpoint(DeviceId device, net::Technology tech) = 0;
-
-  /// Starts the backend's live introspection endpoint (obs::OpsServer on
-  /// the socket substrate) serving /metrics, /series, /slo and /flight.
-  /// Idempotent once successful. The default returns not_supported: a
-  /// simulated world has no process boundary worth scraping across —
-  /// tests read its registry directly.
-  virtual Result<void> enable_ops_server();
 };
 
 }  // namespace ph::transport

@@ -275,13 +275,6 @@ TEST(Export, JsonRoundTripsThroughReader) {
   EXPECT_EQ(no_trace.get("events"), nullptr);
 }
 
-TEST(Export, CsvHasOneFieldPerRow) {
-  Registry registry;
-  registry.counter("c").inc(2);
-  const std::string csv = to_csv(registry);
-  EXPECT_NE(csv.find("counter,c,value,2"), std::string::npos) << csv;
-}
-
 TEST(Export, ChromeTraceShape) {
   Trace trace;
   trace.set_enabled(true);
