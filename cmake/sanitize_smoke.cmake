@@ -1,9 +1,10 @@
-# Builds the sim/net/obs/util unit tests under the `asan-ubsan` preset
-# (build-asan/) and runs the gtest binaries directly. This keeps the
-# pooling layers honest in tier-1: Arena/BufferPool poison recycled
-# memory, so a use-after-free on a recycled block — the bug class manual
-# pooling normally hides — aborts here even though the plain build cannot
-# see it. Invoked by the `ph_sanitize_smoke` CTest target
+# Builds the sim/net/obs/util/proto/transport unit tests under the
+# `asan-ubsan` preset (build-asan/) and runs the gtest binaries directly.
+# This keeps the pooling layers honest in tier-1: Arena/BufferPool poison
+# recycled memory, so a use-after-free on a recycled block — the bug class
+# manual pooling normally hides — aborts here even though the plain build
+# cannot see it. proto_test's fuzz cases feed the decoders and the stream
+# reassembler mutated outside bytes, so an out-of-bounds read aborts too. Invoked by the `ph_sanitize_smoke` CTest target
 # (tests/CMakeLists.txt) as:
 #
 #   cmake -DSOURCE_DIR=... -P cmake/sanitize_smoke.cmake
@@ -17,7 +18,7 @@ endif()
 
 set(BUILD_DIR ${SOURCE_DIR}/build-asan)
 set(SMOKE_TARGETS util_test sim_test sim_alloc_test net_test obs_test
-    parallel_test transport_test)
+    parallel_test proto_test transport_test)
 
 function(run_checked label)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE result

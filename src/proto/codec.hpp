@@ -21,6 +21,8 @@ class Writer {
   /// Length-prefixed (u32) byte string.
   void str(std::string_view v);
   void bytes(BytesView v);
+  /// Appends `v` as is, without a length prefix.
+  void raw(BytesView v) { buf_.insert(buf_.end(), v.begin(), v.end()); }
   /// Length-prefixed (u32) run of `n` copies of `byte`: the wire image of
   /// bytes(Bytes(n, byte)) without building the run first.
   void filler(std::uint32_t n, std::uint8_t byte);

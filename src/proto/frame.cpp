@@ -17,15 +17,15 @@ std::string_view to_string(FrameKind kind) noexcept {
   return "unknown";
 }
 
-Bytes encode_frame(FrameKind kind, BytesView payload) {
-  Bytes out;
-  out.reserve(kFrameHeaderSize + payload.size());
-  out.push_back(static_cast<std::uint8_t>(kFrameMagic & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(kFrameMagic >> 8));
-  out.push_back(kFrameVersion);
-  out.push_back(static_cast<std::uint8_t>(kind));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+void begin_frame(Writer& out, FrameKind kind) {
+  out.u16(kFrameMagic);
+  out.u8(kFrameVersion);
+  out.u8(static_cast<std::uint8_t>(kind));
+}
+
+void begin_stream_frame(Writer& out, FrameKind kind, std::size_t payload_size) {
+  out.u32(static_cast<std::uint32_t>(kFrameHeaderSize + payload_size));
+  begin_frame(out, kind);
 }
 
 Result<FrameView> decode_frame(BytesView data) {
@@ -54,5 +54,45 @@ Result<FrameView> decode_frame(BytesView data) {
   view.payload = data.subspan(kFrameHeaderSize);
   return view;
 }
+
+void FrameStream::append(BytesView bytes) {
+  if (poisoned()) return;
+  // Compact only here: views from peek() must survive pop().
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+  pos_ = 0;
+  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+}
+
+std::uint32_t FrameStream::front_length() const {
+  return Reader(BytesView(buf_).subspan(pos_, kStreamPrefixSize)).u32().value();
+}
+
+bool FrameStream::poisoned() const {
+  return buffered() >= kStreamPrefixSize && front_length() > kMaxStreamFrame;
+}
+
+std::size_t FrameStream::front_size() const {
+  if (buffered() < kStreamPrefixSize) return 0;
+  const std::uint32_t length = front_length();
+  if (length > kMaxStreamFrame || buffered() - kStreamPrefixSize < length) {
+    return 0;
+  }
+  return kStreamPrefixSize + length;
+}
+
+std::optional<Result<FrameView>> FrameStream::peek() const {
+  if (poisoned()) {
+    return Result<FrameView>(Error{
+        Errc::protocol_error, "stream frame of " +
+                                  std::to_string(front_length()) +
+                                  " bytes exceeds kMaxStreamFrame"});
+  }
+  const std::size_t size = front_size();
+  if (size == 0) return std::nullopt;
+  return decode_frame(BytesView(buf_).subspan(pos_ + kStreamPrefixSize,
+                                              size - kStreamPrefixSize));
+}
+
+void FrameStream::pop() { pos_ += front_size(); }
 
 }  // namespace ph::proto

@@ -17,11 +17,24 @@
 // version octet gates wire evolution between daemon builds that share a
 // loopback directory. decode_frame rejects bad magic, future versions and
 // unknown kinds as Errc::protocol_error, never UB.
+//
+// A datagram carries exactly one frame. On a byte stream each frame is
+// preceded by its length —
+//
+//   offset  size  field
+//   0       4     u32 little-endian length of envelope + payload
+//   4       ...   the frame above
+//
+// — and a length over kMaxStreamFrame (16 MiB) is a protocol error: a
+// corrupt prefix must not look like a gigabyte allocation. FrameStream is
+// the one reader of this format and begin_stream_frame its one writer.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
+#include "proto/codec.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
 
@@ -30,6 +43,8 @@ namespace ph::proto {
 inline constexpr std::uint16_t kFrameMagic = 0x5048;  // "PH"
 inline constexpr std::uint8_t kFrameVersion = 1;
 inline constexpr std::size_t kFrameHeaderSize = 4;
+inline constexpr std::size_t kStreamPrefixSize = 4;
+inline constexpr std::uint32_t kMaxStreamFrame = 16u << 20;
 
 /// What a socket frame carries. Values are wire-stable; add new kinds at
 /// the end and bump kFrameVersion when semantics change.
@@ -52,10 +67,47 @@ struct FrameView {
   BytesView payload;
 };
 
-/// Prepends the versioned header to `payload`.
-Bytes encode_frame(FrameKind kind, BytesView payload);
+/// Appends the envelope of a `kind` frame to `out`; the caller appends the
+/// payload right after it.
+void begin_frame(Writer& out, FrameKind kind);
+
+/// Appends the length prefix and envelope of a stream frame whose payload
+/// — exactly `payload_size` bytes — the caller appends right after it.
+void begin_stream_frame(Writer& out, FrameKind kind, std::size_t payload_size);
 
 /// Validates magic/version/kind and returns the payload view.
 Result<FrameView> decode_frame(BytesView data);
+
+/// Reassembles length-prefixed frames from the bytes of one stream, in the
+/// order they arrived. Views handed out by peek() stay valid across pop()
+/// and until the next append().
+class FrameStream {
+ public:
+  /// Buffers bytes received from the stream. Ignored once poisoned.
+  void append(BytesView bytes);
+
+  /// The front frame once all of its bytes are buffered; nullopt while it
+  /// is partial. A complete frame that decode_frame rejects comes back as
+  /// that error, and pop() skips it. A length prefix over kMaxStreamFrame
+  /// poisons the stream: peek returns Errc::protocol_error from then on.
+  std::optional<Result<FrameView>> peek() const;
+
+  /// Consumes the front frame; does nothing while it is partial or the
+  /// stream is poisoned.
+  void pop();
+
+  bool poisoned() const;
+
+  /// Bytes received but not yet popped.
+  std::size_t buffered() const noexcept { return buf_.size() - pos_; }
+
+ private:
+  std::uint32_t front_length() const;
+  /// Prefix + frame bytes of the front frame; 0 while it is not complete.
+  std::size_t front_size() const;
+
+  Bytes buf_;
+  std::size_t pos_ = 0;  ///< start of the front frame's length prefix
+};
 
 }  // namespace ph::proto

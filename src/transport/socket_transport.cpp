@@ -29,57 +29,21 @@ namespace ph::transport {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Wire helpers
-// ---------------------------------------------------------------------------
-
-void append_u16(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void append_u32(Bytes& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
+/// Appends everything the kernel holds for `fd` to `in`. False once the
+/// peer is gone (EOF or a hard error); what it sent before that is in `in`.
+bool recv_into(int fd, proto::FrameStream& in) {
+  std::uint8_t buf[16384];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      in.append(BytesView(buf, static_cast<std::size_t>(n)));
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    if (n < 0 && errno == EINTR) continue;
+    return false;
   }
 }
-
-void append_u64(Bytes& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-  }
-}
-
-std::uint16_t read_u16(BytesView data) {
-  return static_cast<std::uint16_t>(data[0] |
-                                    (static_cast<std::uint16_t>(data[1]) << 8));
-}
-
-std::uint32_t read_u32(BytesView data) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | data[i];
-  return v;
-}
-
-std::uint64_t read_u64(BytesView data) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | data[i];
-  return v;
-}
-
-/// One length-prefixed stream message: u32 frame length, then the frame.
-Bytes make_stream_message(proto::FrameKind kind, BytesView payload) {
-  const Bytes frame = proto::encode_frame(kind, payload);
-  Bytes out;
-  out.reserve(4 + frame.size());
-  append_u32(out, static_cast<std::uint32_t>(frame.size()));
-  out.insert(out.end(), frame.begin(), frame.end());
-  return out;
-}
-
-/// Upper bound on one stream message — a corrupt length prefix must not
-/// look like a gigabyte allocation.
-constexpr std::uint32_t kMaxStreamFrame = 16u << 20;
 
 int make_socket(int type) {
   return ::socket(AF_UNIX, type | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -226,9 +190,7 @@ class SocketTransport::WallScheduler final : public Scheduler {
 // SocketChannelState — one established SOCK_STREAM channel end.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-class SocketChannelState final
+class SocketTransport::SocketChannelState final
     : public detail::ChannelState,
       public std::enable_shared_from_this<SocketChannelState> {
  public:
@@ -259,10 +221,11 @@ class SocketChannelState final
   void chan_send(BytesView payload) override;
   void chan_close() override;
 
-  /// Registers with the epoll loop. The fd handler keeps the state alive
-  /// (shared_ptr capture) until the channel closes or breaks — like a
-  /// simulated link, an established channel outlives dropped user handles.
-  void start(Bytes leftover);
+  /// Registers with the epoll loop, taking over the stream the handshake
+  /// was read from. The fd handler keeps the state alive (shared_ptr
+  /// capture) until the channel closes or breaks — like a simulated link,
+  /// an established channel outlives dropped user handles.
+  void start(proto::FrameStream in);
 
   /// Forced break from outside the I/O path (endpoint powered off).
   void force_break() { do_break(); }
@@ -276,9 +239,9 @@ class SocketChannelState final
   /// Bytes queued but not yet written / received but not yet delivered —
   /// the periodic scrape sums these into the per-device queue gauges.
   std::size_t send_queue_bytes() const noexcept {
-    return out_buf_.size() - out_pos_;
+    return out_.data().size() - out_pos_;
   }
-  std::size_t recv_queue_bytes() const noexcept { return in_buf_.size(); }
+  std::size_t recv_queue_bytes() const noexcept { return in_.buffered(); }
 
  private:
   void handle_io(std::uint32_t events);
@@ -295,48 +258,49 @@ class SocketChannelState final
   bool want_write_ = false;
   bool peer_gone_ = false;     // EOF/hard error seen; break after delivery
   bool drain_pending_ = false; // a schedule(0) drain is already queued
-  Bytes in_buf_;
-  Bytes out_buf_;
+  proto::FrameStream in_;
+  proto::Writer out_;          // frames are written here once, then sent
   std::size_t out_pos_ = 0;
   std::function<void(BytesView)> on_receive_;
   std::function<void()> on_break_;
 };
 
-void SocketChannelState::chan_send(BytesView payload) {
+void SocketTransport::SocketChannelState::chan_send(BytesView payload) {
   // Silently discarded when closed, like a closed simulated link; after
   // EOF the peer is gone and a write would EPIPE-break the channel before
   // its buffered tail frames were delivered.
   if (!open_ || peer_gone_) return;
-  const Bytes msg = make_stream_message(proto::FrameKind::channel_data, payload);
-  out_buf_.insert(out_buf_.end(), msg.begin(), msg.end());
-  transport_.note_channel_send(payload.size());
+  proto::begin_stream_frame(out_, proto::FrameKind::channel_data,
+                            payload.size());
+  out_.raw(payload);
+  transport_.metrics_.channel_messages->inc();
+  transport_.metrics_.channel_bytes->inc(payload.size());
   flush();
 }
 
-void SocketChannelState::send_ping(std::uint64_t wall_us) {
+void SocketTransport::SocketChannelState::send_ping(std::uint64_t wall_us) {
   if (!open_ || peer_gone_) return;
-  Bytes stamp;
-  append_u64(stamp, wall_us);
-  const Bytes msg = make_stream_message(proto::FrameKind::channel_ping, stamp);
-  out_buf_.insert(out_buf_.end(), msg.begin(), msg.end());
-  transport_.note_rtt_probe();
+  proto::begin_stream_frame(out_, proto::FrameKind::channel_ping, 8);
+  out_.u64(wall_us);
+  transport_.c_rtt_probes_->inc();
   flush();
 }
 
-void SocketChannelState::flush() {
-  while (open_ && out_pos_ < out_buf_.size()) {
-    const std::size_t remaining = out_buf_.size() - out_pos_;
+void SocketTransport::SocketChannelState::flush() {
+  const Bytes& out = out_.data();
+  while (open_ && out_pos_ < out.size()) {
+    const std::size_t remaining = out.size() - out_pos_;
     const ssize_t n =
-        ::send(fd_, out_buf_.data() + out_pos_, remaining, MSG_NOSIGNAL);
+        ::send(fd_, out.data() + out_pos_, remaining, MSG_NOSIGNAL);
     if (n > 0) {
       if (static_cast<std::size_t>(n) < remaining) {
-        transport_.note_partial_write();
+        transport_.c_partial_writes_->inc();
       }
       out_pos_ += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      transport_.note_backpressure();
+      transport_.c_backpressure_->inc();
       if (!want_write_) {
         want_write_ = true;
         transport_.rearm_fd(fd_, EPOLLIN | EPOLLOUT);
@@ -347,8 +311,8 @@ void SocketChannelState::flush() {
     do_break();
     return;
   }
-  if (out_pos_ >= out_buf_.size()) {
-    out_buf_.clear();
+  if (out_pos_ >= out.size()) {
+    out_.clear();
     out_pos_ = 0;
     if (want_write_) {
       want_write_ = false;
@@ -357,40 +321,29 @@ void SocketChannelState::flush() {
   }
 }
 
-void SocketChannelState::start(Bytes leftover) {
-  in_buf_ = std::move(leftover);
+void SocketTransport::SocketChannelState::start(proto::FrameStream in) {
+  in_ = std::move(in);
   auto self = shared_from_this();
   transport_.watch_fd(fd_, EPOLLIN,
-                      [self](std::uint32_t events) { self->handle_io(events); });
+              [self](std::uint32_t events) { self->handle_io(events); });
   // Bytes that rode in behind the handshake frame are already ours, but the
   // Channel has not reached the caller yet, so no receive handler can be
   // installed. deliver_frames never consumes data frames without one;
   // chan_on_receive schedules the drain once the caller attaches.
 }
 
-void SocketChannelState::handle_io(std::uint32_t events) {
+void SocketTransport::SocketChannelState::handle_io(std::uint32_t events) {
   if (!open_) return;
   if (events & EPOLLOUT) flush();
   if (!open_) return;  // flush may have hit a hard error and broken us
   // EPOLLERR/EPOLLHUP also take the read path: recv drains whatever the
   // peer sent before resetting, then reports EOF, which breaks the channel.
   if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) {
-    std::uint8_t buf[16384];
-    for (;;) {
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n > 0) {
-        in_buf_.insert(in_buf_.end(), buf, buf + n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      // EOF or hard error — the peer is gone, but complete frames it sent
-      // before closing are already in in_buf_ and must be delivered in
-      // order before the break (a graceful send-then-close must not lose
-      // its tail, nor surface as connection_lost).
-      peer_gone_ = true;
-      break;
-    }
+    // On EOF or a hard error the peer is gone, but complete frames it sent
+    // before closing are already in in_ and must be delivered in order
+    // before the break (a graceful send-then-close must not lose its tail,
+    // nor surface as connection_lost).
+    if (!recv_into(fd_, in_)) peer_gone_ = true;
     deliver_frames();
     if (open_ && peer_gone_) {
       // Break deferred: data frames are buffered but no receive handler is
@@ -402,68 +355,70 @@ void SocketChannelState::handle_io(std::uint32_t events) {
   }
 }
 
-/// Parses and delivers every complete length-prefixed frame, in order.
-/// A data frame is never consumed while no receive handler is installed —
-/// it stays buffered until chan_on_receive drains it — preserving the
-/// exactly-once in-order contract. Once the peer is gone the channel
-/// breaks only after everything deliverable has been delivered.
-void SocketChannelState::deliver_frames() {
-  std::size_t pos = 0;
+/// Delivers every complete frame, in order. A data frame is never consumed
+/// while no receive handler is installed — it stays buffered until
+/// chan_on_receive drains it — preserving the exactly-once in-order
+/// contract. Once the peer is gone the channel breaks only after everything
+/// deliverable has been delivered; a poisoned stream breaks it at once.
+void SocketTransport::SocketChannelState::deliver_frames() {
   bool stalled = false;
-  while (open_ && in_buf_.size() - pos >= 4) {
-    const std::uint32_t len = read_u32(BytesView(in_buf_).subspan(pos, 4));
-    if (len > kMaxStreamFrame) {
-      do_break();
-      return;
+  while (open_) {
+    const auto next = in_.peek();
+    if (!next) break;
+    if (!*next) {
+      transport_.metrics_.bad_frames->inc();
+      if (in_.poisoned()) {
+        do_break();
+        return;
+      }
+      in_.pop();
+      continue;
     }
-    if (in_buf_.size() - pos - 4 < len) break;
-    const BytesView frame_bytes = BytesView(in_buf_).subspan(pos + 4, len);
-    auto frame = proto::decode_frame(frame_bytes);
+    const proto::FrameView& frame = **next;
     // RTT probes are transport-internal: consumed here, before the
     // no-handler stall check, never surfaced to the receive handler.
-    if (frame && frame->kind == proto::FrameKind::channel_ping) {
-      pos += 4 + len;
-      if (frame->payload.size() >= 8 && !peer_gone_) {
-        const Bytes pong = make_stream_message(proto::FrameKind::channel_pong,
-                                               frame->payload.subspan(0, 8));
-        out_buf_.insert(out_buf_.end(), pong.begin(), pong.end());
+    if (frame.kind == proto::FrameKind::channel_ping) {
+      in_.pop();
+      if (frame.payload.size() >= 8 && !peer_gone_) {
+        proto::begin_stream_frame(out_, proto::FrameKind::channel_pong, 8);
+        out_.raw(frame.payload.first(8));
         flush();
       }
       continue;
     }
-    if (frame && frame->kind == proto::FrameKind::channel_pong) {
-      pos += 4 + len;
-      if (frame->payload.size() >= 8) {
-        const std::uint64_t echoed = read_u64(frame->payload.subspan(0, 8));
+    if (frame.kind == proto::FrameKind::channel_pong) {
+      in_.pop();
+      if (auto echoed = proto::Reader(frame.payload).u64()) {
         const std::uint64_t now = transport_.wall_now_us();
-        if (now >= echoed) transport_.note_rtt_sample(now - echoed);
+        if (now >= *echoed) {
+          transport_.metrics_.channel_rtt_us->observe(
+              static_cast<double>(now - *echoed));
+        }
       }
       continue;
     }
-    if (frame && frame->kind == proto::FrameKind::channel_data &&
-        !on_receive_) {
+    if (frame.kind == proto::FrameKind::channel_data && !on_receive_) {
       stalled = true;  // keep buffered until a handler is installed
       break;
     }
-    pos += 4 + len;
-    if (!frame || frame->kind != proto::FrameKind::channel_data) {
-      transport_.note_bad_frame();
+    in_.pop();
+    if (frame.kind != proto::FrameKind::channel_data) {
+      transport_.metrics_.bad_frames->inc();
       continue;
     }
-    transport_.note_channel_receive(frame->payload.size());
+    transport_.metrics_.channel_bytes->inc(frame.payload.size());
     // Invoke a copy: the handler may replace on_receive_ from inside the
     // call (session handshake → attach_channel), which would otherwise
     // destroy the lambda mid-execution.
     auto handler = on_receive_;
-    handler(frame->payload);
+    handler(frame.payload);
   }
-  if (pos > 0) in_buf_.erase(in_buf_.begin(), in_buf_.begin() + pos);
   if (open_ && peer_gone_ && !stalled) do_break();
 }
 
-void SocketChannelState::schedule_drain() {
+void SocketTransport::SocketChannelState::schedule_drain() {
   if (!open_ || drain_pending_ || !on_receive_) return;
-  if (in_buf_.empty() && !peer_gone_) return;
+  if (in_.buffered() == 0 && !peer_gone_) return;
   drain_pending_ = true;
   auto self = shared_from_this();
   transport_.scheduler().schedule(0, [self]() {
@@ -472,13 +427,14 @@ void SocketChannelState::schedule_drain() {
   });
 }
 
-void SocketChannelState::chan_close() {
+void SocketTransport::SocketChannelState::chan_close() {
   if (!open_) return;
   open_ = false;
   // Push out whatever is queued without blocking; the peer then sees EOF.
-  while (out_pos_ < out_buf_.size()) {
-    const ssize_t n = ::send(fd_, out_buf_.data() + out_pos_,
-                             out_buf_.size() - out_pos_, MSG_NOSIGNAL);
+  const Bytes& out = out_.data();
+  while (out_pos_ < out.size()) {
+    const ssize_t n = ::send(fd_, out.data() + out_pos_,
+                             out.size() - out_pos_, MSG_NOSIGNAL);
     if (n <= 0) break;
     out_pos_ += static_cast<std::size_t>(n);
   }
@@ -489,20 +445,18 @@ void SocketChannelState::chan_close() {
   on_break_ = nullptr;  // local close is not a break
 }
 
-void SocketChannelState::do_break() {
+void SocketTransport::SocketChannelState::do_break() {
   if (!open_) return;
   open_ = false;
   transport_.unwatch_fd(fd_);
   ::close(fd_);
   fd_ = -1;
-  transport_.note_channel_break();
+  transport_.metrics_.channels_broken->inc();
   auto handler = std::move(on_break_);
   on_break_ = nullptr;
   on_receive_ = nullptr;
   if (handler) handler();
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // SocketEndpoint — one device × technology attachment point.
@@ -577,21 +531,18 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   }
 
  private:
-  /// An outgoing connect between ::connect(2) and channel_accept/reject.
-  struct PendingConn {
-    int fd = -1;
-    DeviceId dst = net::kInvalidNode;
-    ConnectHandler done;
-    Bytes buf;
+  /// A stream fd until its handshake frame settles it: the bytes read so
+  /// far, the timeout and the latency stamp. An accepted fd waiting for
+  /// channel_open is just this.
+  struct Handshake {
+    proto::FrameStream in;
     sim::EventId timeout = 0;
     std::uint64_t started_wall = 0;  ///< handshake latency start stamp
   };
-  /// An accepted stream fd waiting for its channel_open frame.
-  struct PendingAccept {
-    int fd = -1;
-    Bytes buf;
-    sim::EventId timeout = 0;
-    std::uint64_t started_wall = 0;
+  /// An outgoing connect between ::connect(2) and channel_accept/reject.
+  struct PendingConn : Handshake {
+    DeviceId dst = net::kInvalidNode;
+    ConnectHandler done;
   };
 
   void bring_up();
@@ -603,8 +554,10 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   void settle_connect(int fd);
   void fail_connect(int fd, Error error);
   std::vector<DeviceId> scan_peers() const;
+  /// Turns a settled handshake into a channel that takes over its fd and
+  /// stream, and records the handshake latency.
   std::shared_ptr<SocketChannelState> adopt(int fd, DeviceId remote,
-                                            Bytes leftover);
+                                            Handshake& handshake);
 
   SocketTransport& t_;
   DeviceId device_;
@@ -615,8 +568,9 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   std::map<net::Port, DatagramHandler> dgram_handlers_;
   std::map<net::Port, AcceptHandler> listeners_;
   std::map<int, PendingConn> pending_conns_;
-  std::map<int, PendingAccept> pending_accepts_;
+  std::map<int, Handshake> pending_accepts_;
   std::vector<std::weak_ptr<SocketChannelState>> channels_;
+  proto::Writer out_;  ///< reused for every datagram and handshake frame
 };
 
 void SocketTransport::SocketEndpoint::bring_up() {
@@ -688,31 +642,32 @@ void SocketTransport::SocketEndpoint::handle_dgram_readable() {
       return;
     }
     auto frame = proto::decode_frame(BytesView(buf, static_cast<std::size_t>(n)));
-    if (!frame || frame->kind != proto::FrameKind::datagram ||
-        frame->payload.size() < 6) {
-      t_.note_bad_frame();
+    const bool is_datagram = frame && frame->kind == proto::FrameKind::datagram;
+    proto::Reader body(is_datagram ? frame->payload : BytesView{});
+    const auto src = body.u32();
+    const auto port = body.u16();
+    if (!src || !port) {  // not a well-formed datagram frame
+      t_.metrics_.bad_frames->inc();
       continue;
     }
-    const DeviceId src = read_u32(frame->payload.subspan(0, 4));
-    const net::Port port = read_u16(frame->payload.subspan(4, 2));
     t_.metrics_.datagrams_received->inc();
-    auto it = dgram_handlers_.find(port);
+    auto it = dgram_handlers_.find(*port);
     if (it == dgram_handlers_.end()) continue;
     // Copy the handler: it may rebind (or unbind) this very port.
     DatagramHandler handler = it->second;
-    handler(src, frame->payload.subspan(6));
+    handler(*src, frame->payload.subspan(6));
   }
 }
 
 void SocketTransport::SocketEndpoint::send_datagram(DeviceId dst, net::Port port,
                                                     BytesView payload) {
   if (!powered_) return;
-  Bytes body;
-  body.reserve(6 + payload.size());
-  append_u32(body, device_);  // src
-  append_u16(body, port);
-  body.insert(body.end(), payload.begin(), payload.end());
-  const Bytes frame = proto::encode_frame(proto::FrameKind::datagram, body);
+  out_.clear();
+  proto::begin_frame(out_, proto::FrameKind::datagram);
+  out_.u32(device_);  // src
+  out_.u16(port);
+  out_.raw(payload);
+  const Bytes& frame = out_.data();
   const std::string path = endpoint_path(t_.dir_, dst, profile_.tech, "dgram");
   sockaddr_un addr = make_addr(path);
   // Fire and forget: an absent or unpowered peer just loses the frame,
@@ -771,11 +726,16 @@ double SocketTransport::SocketEndpoint::signal_to(DeviceId dst) const {
   return ::access(path.c_str(), F_OK) == 0 ? 1.0 : 0.0;
 }
 
-std::shared_ptr<SocketChannelState> SocketTransport::SocketEndpoint::adopt(
-    int fd, DeviceId remote, Bytes leftover) {
+std::shared_ptr<SocketTransport::SocketChannelState>
+SocketTransport::SocketEndpoint::adopt(int fd, DeviceId remote,
+                                       Handshake& handshake) {
+  t_.scheduler_->cancel(handshake.timeout);
+  t_.unwatch_fd(fd);
+  t_.metrics_.handshake_us->observe(
+      static_cast<double>(t_.wall_now_us() - handshake.started_wall));
   auto state =
       std::make_shared<SocketChannelState>(t_, fd, remote, profile_.tech);
-  state->start(std::move(leftover));
+  state->start(std::move(handshake.in));
   std::erase_if(channels_, [](const auto& weak) { return weak.expired(); });
   channels_.push_back(state);
   return state;
@@ -791,8 +751,7 @@ void SocketTransport::SocketEndpoint::handle_listen_readable() {
       if (errno == EINTR) continue;
       return;  // EAGAIN or transient error — epoll will re-notify
     }
-    auto [it, inserted] = pending_accepts_.emplace(fd, PendingAccept{});
-    it->second.fd = fd;
+    auto [it, inserted] = pending_accepts_.emplace(fd, Handshake{});
     it->second.started_wall = t_.wall_now_us();
     // A peer that connects but never sends channel_open must not pin the
     // fd forever.
@@ -814,60 +773,40 @@ void SocketTransport::SocketEndpoint::drop_accept(int fd) {
 void SocketTransport::SocketEndpoint::settle_accept(int fd) {
   auto it = pending_accepts_.find(fd);
   if (it == pending_accepts_.end()) return;
-  PendingAccept& pa = it->second;
-  std::uint8_t buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      pa.buf.insert(pa.buf.end(), buf, buf + n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
+  Handshake& pa = it->second;
+  if (!recv_into(fd, pa.in)) {
     drop_accept(fd);  // peer vanished before the handshake
     return;
   }
-  if (pa.buf.size() < 4) return;
-  const std::uint32_t len = read_u32(BytesView(pa.buf).subspan(0, 4));
-  if (len > kMaxStreamFrame) {
+  const auto next = pa.in.peek();
+  if (!next) return;  // handshake frame still partial
+  const bool is_open =
+      *next && (*next)->kind == proto::FrameKind::channel_open;
+  proto::Reader body(is_open ? (*next)->payload : BytesView{});
+  const auto src = body.u32();
+  const auto port = body.u16();
+  if (!src || !port) {  // not a well-formed channel_open
+    t_.metrics_.bad_frames->inc();
     drop_accept(fd);
     return;
   }
-  if (pa.buf.size() - 4 < len) return;  // handshake frame still partial
-  auto frame = proto::decode_frame(BytesView(pa.buf).subspan(4, len));
-  Bytes leftover(pa.buf.begin() + 4 + len, pa.buf.end());
-  if (!frame || frame->kind != proto::FrameKind::channel_open ||
-      frame->payload.size() < 6) {
-    t_.note_bad_frame();
-    drop_accept(fd);
-    return;
-  }
-  const DeviceId src = read_u32(frame->payload.subspan(0, 4));
-  const net::Port port = read_u16(frame->payload.subspan(4, 2));
-  auto listener = listeners_.find(port);
+  pa.in.pop();
+  auto listener = listeners_.find(*port);
+  out_.clear();
   if (!powered_ || listener == listeners_.end()) {
-    Bytes body;
-    body.push_back(static_cast<std::uint8_t>(Errc::connect_failed));
-    const Bytes reply =
-        make_stream_message(proto::FrameKind::channel_reject, body);
-    (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+    proto::begin_stream_frame(out_, proto::FrameKind::channel_reject, 1);
+    out_.u8(static_cast<std::uint8_t>(Errc::connect_failed));
+    (void)::send(fd, out_.data().data(), out_.data().size(), MSG_NOSIGNAL);
     drop_accept(fd);
     return;
   }
-  Bytes body;
-  append_u32(body, device_);
-  const Bytes reply = make_stream_message(proto::FrameKind::channel_accept, body);
-  (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
-  // Promote the fd: cancel bookkeeping first, then hand it to a channel.
-  t_.scheduler_->cancel(pa.timeout);
-  t_.unwatch_fd(fd);
+  proto::begin_stream_frame(out_, proto::FrameKind::channel_accept, 4);
+  out_.u32(device_);
+  (void)::send(fd, out_.data().data(), out_.data().size(), MSG_NOSIGNAL);
   AcceptHandler handler = listener->second;  // copy — may stop_listen inside
-  const std::uint64_t started = pa.started_wall;
-  pending_accepts_.erase(it);
-  auto state = adopt(fd, src, std::move(leftover));
+  auto settled = pending_accepts_.extract(it);
+  auto state = adopt(fd, *src, settled.mapped());
   t_.metrics_.channels_accepted->inc();
-  t_.metrics_.handshake_us->observe(
-      static_cast<double>(t_.wall_now_us() - started));
   handler(Channel(state));
 }
 
@@ -897,15 +836,13 @@ void SocketTransport::SocketEndpoint::connect(DeviceId dst, net::Port port,
     });
     return;
   }
-  Bytes body;
-  append_u32(body, device_);
-  append_u16(body, port);
-  const Bytes open_msg =
-      make_stream_message(proto::FrameKind::channel_open, body);
-  (void)::send(fd, open_msg.data(), open_msg.size(), MSG_NOSIGNAL);
+  out_.clear();
+  proto::begin_stream_frame(out_, proto::FrameKind::channel_open, 6);
+  out_.u32(device_);
+  out_.u16(port);
+  (void)::send(fd, out_.data().data(), out_.data().size(), MSG_NOSIGNAL);
 
   auto [it, inserted] = pending_conns_.emplace(fd, PendingConn{});
-  it->second.fd = fd;
   it->second.dst = dst;
   it->second.done = std::move(done);
   it->second.started_wall = t_.wall_now_us();
@@ -931,67 +868,45 @@ void SocketTransport::SocketEndpoint::settle_connect(int fd) {
   auto it = pending_conns_.find(fd);
   if (it == pending_conns_.end()) return;
   PendingConn& pc = it->second;
-  std::uint8_t buf[4096];
   // On EOF the peer may already have written a complete reject/accept frame
   // before closing (reject-then-close is the normal refusal shape), so parse
   // the buffered bytes first and only report unreachable if they are short.
-  bool eof = false;
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      pc.buf.insert(pc.buf.end(), buf, buf + n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    eof = true;
-    break;
-  }
-  const auto incomplete = [&] {
-    if (eof) {
+  const bool peer_gone = !recv_into(fd, pc.in);
+  const auto next = pc.in.peek();
+  if (!next) {
+    if (peer_gone) {
       fail_connect(fd, Error{Errc::device_unreachable,
                              "peer closed during channel open"});
     }
-  };
-  if (pc.buf.size() < 4) return incomplete();
-  const std::uint32_t len = read_u32(BytesView(pc.buf).subspan(0, 4));
-  if (len > kMaxStreamFrame) {
-    fail_connect(fd, Error{Errc::protocol_error, "oversized handshake reply"});
     return;
   }
-  if (pc.buf.size() - 4 < len) return incomplete();
-  auto frame = proto::decode_frame(BytesView(pc.buf).subspan(4, len));
-  if (!frame) {
-    t_.note_bad_frame();
-    fail_connect(fd, Error{Errc::protocol_error, "bad handshake reply"});
+  if (!*next) {
+    t_.metrics_.bad_frames->inc();
+    fail_connect(fd, Error{Errc::protocol_error,
+                           "bad handshake reply: " + next->error().message});
     return;
   }
-  if (frame->kind == proto::FrameKind::channel_reject) {
-    const Errc code = frame->payload.empty()
+  const proto::FrameView& frame = **next;
+  if (frame.kind == proto::FrameKind::channel_reject) {
+    const Errc code = frame.payload.empty()
                           ? Errc::connect_failed
                           : static_cast<Errc>(std::min<std::uint8_t>(
-                                frame->payload[0],
+                                frame.payload[0],
                                 static_cast<std::uint8_t>(kMaxErrc)));
     fail_connect(fd, Error{code == Errc::ok ? Errc::connect_failed : code,
                            "peer rejected channel open"});
     return;
   }
-  if (frame->kind != proto::FrameKind::channel_accept) {
+  if (frame.kind != proto::FrameKind::channel_accept) {
     fail_connect(fd, Error{Errc::protocol_error, "unexpected handshake reply"});
     return;
   }
-  Bytes leftover(pc.buf.begin() + 4 + len, pc.buf.end());
-  ConnectHandler done = std::move(pc.done);
-  const DeviceId dst = pc.dst;
-  const std::uint64_t started = pc.started_wall;
-  t_.scheduler_->cancel(pc.timeout);
-  t_.unwatch_fd(fd);
-  pending_conns_.erase(it);
-  auto state = adopt(fd, dst, std::move(leftover));
+  pc.in.pop();
+  auto settled = pending_conns_.extract(it);
+  PendingConn& conn = settled.mapped();
+  auto state = adopt(fd, conn.dst, conn);
   t_.metrics_.channels_opened->inc();
-  t_.metrics_.handshake_us->observe(
-      static_cast<double>(t_.wall_now_us() - started));
-  done(Channel(state));
+  conn.done(Channel(state));
 }
 
 // ---------------------------------------------------------------------------
@@ -1143,31 +1058,6 @@ void SocketTransport::pump_epoll(int timeout_ms) {
     }
     h_loop_dispatch_->observe(static_cast<double>(wall_clock_.now() - t0));
   }
-}
-
-void SocketTransport::note_channel_send(std::size_t bytes) {
-  metrics_.channel_messages->inc();
-  metrics_.channel_bytes->inc(bytes);
-}
-
-void SocketTransport::note_channel_receive(std::size_t bytes) {
-  metrics_.channel_bytes->inc(bytes);
-}
-
-void SocketTransport::note_channel_break() {
-  metrics_.channels_broken->inc();
-}
-
-void SocketTransport::note_bad_frame() { metrics_.bad_frames->inc(); }
-
-void SocketTransport::note_partial_write() { c_partial_writes_->inc(); }
-
-void SocketTransport::note_backpressure() { c_backpressure_->inc(); }
-
-void SocketTransport::note_rtt_probe() { c_rtt_probes_->inc(); }
-
-void SocketTransport::note_rtt_sample(std::uint64_t rtt_wall_us) {
-  metrics_.channel_rtt_us->observe(static_cast<double>(rtt_wall_us));
 }
 
 void SocketTransport::enable_telemetry() {

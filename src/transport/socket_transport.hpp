@@ -19,8 +19,9 @@
 // optionally compressed by `time_scale` so protocol cadences tuned for
 // simulated seconds (20 s inquiry gaps, 2 s pings) run in bounded
 // wall-clock during tests. Channels are reliable and ordered (SOCK_STREAM
-// with length-prefixed messages); a reset, EOF or power-off surfaces as a
-// channel *break*, exactly like a simulated link losing radio contact.
+// carrying length-prefixed frames, read back by proto::FrameStream); a
+// reset, EOF or power-off surfaces as a channel *break*, exactly like a
+// simulated link losing radio contact.
 #pragma once
 
 #include <map>
@@ -110,8 +111,10 @@ class SocketTransport final : public Transport {
   /// base of RTT probes, handshake latency and loop instrumentation.
   std::uint64_t wall_now_us() const { return wall_clock_.now(); }
 
-  // Backend-internal plumbing, public because channel states are file-local
-  // classes in socket_transport.cpp. Not for use above the transport layer.
+ private:
+  class WallScheduler;
+  class SocketEndpoint;
+  class SocketChannelState;
 
   /// Registers `fd` with the epoll loop; `handler(events)` runs from
   /// run_until. Handlers may unregister any fd, including their own.
@@ -119,19 +122,6 @@ class SocketTransport final : public Transport {
                 std::function<void(std::uint32_t)> handler);
   void rearm_fd(int fd, std::uint32_t events);
   void unwatch_fd(int fd);
-  void note_channel_send(std::size_t bytes);
-  void note_channel_receive(std::size_t bytes);
-  void note_channel_break();
-  void note_bad_frame();
-  void note_partial_write();
-  void note_backpressure();
-  void note_rtt_probe();
-  void note_rtt_sample(std::uint64_t rtt_wall_us);
-
- private:
-  class WallScheduler;
-  class SocketEndpoint;
-  friend class SocketEndpoint;
 
   /// One epoll_wait + handler dispatch round; called from run_until.
   /// Observes the wait overshoot into the stall gauge and each handler's

@@ -3,7 +3,10 @@
 // decode or a clean protocol_error.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "proto/daemon.hpp"
+#include "proto/frame.hpp"
 #include "proto/messages.hpp"
 #include "sim/rng.hpp"
 #include "sns/protocol.hpp"
@@ -111,6 +114,88 @@ TEST_P(FuzzTest, MutatedSnsPagesNeverCrash) {
     if (rng.chance(0.3)) mutated.resize(rng.uniform_int(0, mutated.size()));
     auto decoded = sns::decode_page_response(mutated);
     if (decoded.ok()) (void)sns::encode(*decoded);
+  }
+}
+
+// Concatenated stream frames, mutated and fed in random chunk sizes, the
+// way a socket hands them over. Whatever FrameStream pops must be bytes
+// that were appended, and must re-encode to exactly the bytes it came from.
+TEST_P(FuzzTest, MutatedFrameStreamsNeverCrash) {
+  sim::Rng rng(GetParam() * 29 + 17);
+  Writer w;
+  std::vector<std::size_t> prefix_at;
+  for (auto kind : {FrameKind::channel_open, FrameKind::channel_accept,
+                    FrameKind::channel_data, FrameKind::channel_ping,
+                    FrameKind::channel_data, FrameKind::channel_pong,
+                    FrameKind::channel_reject}) {
+    prefix_at.push_back(w.data().size());
+    const Bytes payload = sample_daemon_bytes();
+    begin_stream_frame(w, kind, payload.size());
+    w.raw(payload);
+  }
+  const Bytes original = w.data();
+  for (int round = 0; round < 500; ++round) {
+    Bytes mutated = original;
+    const int flips = 1 + static_cast<int>(rng.uniform_int(0, 3));
+    for (int i = 0; i < flips; ++i) {
+      // Every other flip lands in a length prefix, where a uniform flip
+      // would rarely go.
+      const std::size_t at =
+          i % 2 == 0 ? prefix_at[rng.uniform_int(0, prefix_at.size() - 1)] +
+                           rng.uniform_int(0, 3)
+                     : rng.uniform_int(0, mutated.size() - 1);
+      mutated[at] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+    }
+    if (rng.chance(0.3)) mutated.resize(rng.uniform_int(0, mutated.size()));
+
+    // The length prefix at `offset`, read straight from the input.
+    const auto length_at = [&](std::size_t offset) {
+      return Reader(BytesView(mutated).subspan(offset, kStreamPrefixSize))
+          .u32()
+          .value();
+    };
+    FrameStream stream;
+    std::size_t appended = 0;
+    std::size_t consumed = 0;  // offset of the front frame's prefix
+    while (appended < mutated.size() && !stream.poisoned()) {
+      const std::size_t chunk = std::min<std::size_t>(
+          rng.uniform_int(1, 64), mutated.size() - appended);
+      stream.append(BytesView(mutated).subspan(appended, chunk));
+      appended += chunk;
+      while (auto next = stream.peek()) {
+        const std::uint32_t length = length_at(consumed);
+        if (stream.poisoned()) {
+          ASSERT_GT(length, kMaxStreamFrame);
+          break;
+        }
+        const std::size_t end = consumed + kStreamPrefixSize + length;
+        ASSERT_LE(end, appended);
+        if (*next) {
+          const FrameView& frame = **next;
+          ASSERT_EQ(kFrameHeaderSize + frame.payload.size(), length);
+          ASSERT_TRUE(std::equal(frame.payload.begin(), frame.payload.end(),
+                                 mutated.begin() + static_cast<long>(
+                                     end - frame.payload.size())));
+          Writer again;
+          begin_stream_frame(again, frame.kind, frame.payload.size());
+          again.raw(frame.payload);
+          ASSERT_EQ(again.data(),
+                    Bytes(mutated.begin() + static_cast<long>(consumed),
+                          mutated.begin() + static_cast<long>(end)));
+        }
+        const std::size_t before = stream.buffered();
+        stream.pop();
+        ASSERT_EQ(before - stream.buffered(), end - consumed);
+        consumed = end;
+      }
+      // Nothing left to pop, so the front frame must really be partial.
+      if (!stream.poisoned() && appended - consumed >= kStreamPrefixSize) {
+        ASSERT_LT(appended - consumed - kStreamPrefixSize, length_at(consumed));
+      }
+    }
+    if (!stream.poisoned()) {
+      EXPECT_EQ(consumed + stream.buffered(), mutated.size());
+    }
   }
 }
 

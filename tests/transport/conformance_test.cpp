@@ -6,9 +6,14 @@
 // If a new backend appears, adding it to the instantiation list below is
 // the whole certification step.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +21,7 @@
 #include "net/medium.hpp"
 #include "obs/metrics.hpp"
 #include "peerhood/stack.hpp"
+#include "proto/frame.hpp"
 #include "sim/simulator.hpp"
 #include "tests/testutil/flight_guard.hpp"
 #include "transport/sim_transport.hpp"
@@ -461,6 +467,143 @@ TEST(TransportMetricParity, BackendsRegisterSameTransportFamilies) {
   EXPECT_EQ(sim_schema.counters, socket_schema.counters);
   EXPECT_EQ(sim_schema.gauges, socket_schema.gauges);
   EXPECT_EQ(sim_schema.histograms, socket_schema.histograms);
+}
+
+// Socket-only: a peer that writes a length prefix over kMaxStreamFrame.
+// Every path that reads a stream — accept, connect and an established
+// channel — must count it in transport.bad_frames and give the stream up.
+class SocketStreamPrefix : public ::testing::Test {
+ protected:
+  // u32 little-endian kMaxStreamFrame + 1, as a hostile peer would send it.
+  static constexpr std::uint8_t kOversizePrefix[] = {0x01, 0x00, 0x00, 0x01};
+
+  /// Owns one raw AF_UNIX stream fd.
+  struct RawFd {
+    int fd = -1;
+    explicit RawFd(int f) : fd(f) {}
+    RawFd(const RawFd&) = delete;
+    RawFd& operator=(const RawFd&) = delete;
+    ~RawFd() {
+      if (fd >= 0) ::close(fd);
+    }
+  };
+
+  // Real time: a handshake left pending past 10 s is dropped by timeout,
+  // which must not be what these tests observe.
+  SocketTransport transport_{[] {
+    SocketTransportConfig config;
+    config.seed = 7;
+    return config;
+  }()};
+
+  sockaddr_un stream_addr(DeviceId device) const {
+    const std::string path = transport_.socket_dir() + "/d" +
+                             std::to_string(device) + ".t" +
+                             std::to_string(static_cast<int>(
+                                 net::Technology::bluetooth)) +
+                             ".stream";
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    return addr;
+  }
+
+  /// A raw stream fd connected to `device`'s stream socket.
+  int connect_raw(DeviceId device) const {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const sockaddr_un addr = stream_addr(device);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    return fd;
+  }
+
+  static void write_all(const RawFd& raw, BytesView bytes) {
+    ASSERT_EQ(::send(raw.fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  /// True once the transport has closed its end of `raw`.
+  static bool closed_by_peer(const RawFd& raw) {
+    std::uint8_t byte = 0;
+    return ::recv(raw.fd, &byte, 1, MSG_DONTWAIT) == 0;
+  }
+
+  std::uint64_t bad_frames() {
+    return transport_.registry().counter("transport.bad_frames").value();
+  }
+
+  template <typename Pred>
+  bool pump_until(Pred pred) {
+    Scheduler& s = transport_.scheduler();
+    const sim::Time deadline = s.now() + sim::seconds(5);
+    while (!pred() && s.now() < deadline) {
+      s.run_until(std::min(deadline, s.now() + sim::milliseconds(10)));
+    }
+    return pred();
+  }
+};
+
+TEST_F(SocketStreamPrefix, OversizePrefixDropsTheAccept) {
+  const DeviceId b = transport_.add_device("b", nullptr);
+  Endpoint& eb = transport_.add_endpoint(b, quick_bt());
+  bool accepted = false;
+  eb.listen(5000, [&](Channel) { accepted = true; });
+
+  const RawFd peer(connect_raw(b));
+  write_all(peer, kOversizePrefix);
+  ASSERT_TRUE(pump_until([&] { return bad_frames() == 1; }));
+  EXPECT_TRUE(closed_by_peer(peer)) << "the accept was not dropped";
+  EXPECT_FALSE(accepted);
+}
+
+TEST_F(SocketStreamPrefix, OversizeHandshakeReplyFailsTheConnect) {
+  const DeviceId a = transport_.add_device("a", nullptr);
+  Endpoint& ea = transport_.add_endpoint(a, quick_bt());
+  // A fake device 99: a raw listener where its stream socket would be.
+  const RawFd listener(::socket(AF_UNIX, SOCK_STREAM, 0));
+  const sockaddr_un addr = stream_addr(99);
+  ASSERT_EQ(::bind(listener.fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener.fd, 1), 0);
+
+  std::optional<Error> failed;
+  ea.connect(99, 5000, [&](Result<Channel> result) {
+    ASSERT_FALSE(bool(result));
+    failed = result.error();
+  });
+  const RawFd peer(::accept(listener.fd, nullptr, nullptr));
+  ::unlink(addr.sun_path);
+  ASSERT_GE(peer.fd, 0);
+  write_all(peer, kOversizePrefix);
+  ASSERT_TRUE(pump_until([&] { return failed.has_value(); }));
+  EXPECT_EQ(failed->code, Errc::protocol_error) << failed->to_string();
+  EXPECT_EQ(bad_frames(), 1u);
+}
+
+TEST_F(SocketStreamPrefix, OversizePrefixBreaksAnEstablishedChannel) {
+  const DeviceId b = transport_.add_device("b", nullptr);
+  Endpoint& eb = transport_.add_endpoint(b, quick_bt());
+  Channel server;
+  bool broke = false;
+  std::size_t received = 0;
+  eb.listen(5000, [&](Channel channel) {
+    server = channel;
+    server.on_receive([&](BytesView) { ++received; });
+    server.on_break([&] { broke = true; });
+  });
+
+  const RawFd peer(connect_raw(b));
+  proto::Writer open;
+  proto::begin_stream_frame(open, proto::FrameKind::channel_open, 6);
+  open.u32(99);
+  open.u16(5000);
+  open.raw(kOversizePrefix);
+  write_all(peer, open.data());
+  ASSERT_TRUE(pump_until([&] { return broke; }));
+  EXPECT_EQ(bad_frames(), 1u);
+  EXPECT_EQ(received, 0u);
 }
 
 }  // namespace
