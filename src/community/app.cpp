@@ -193,7 +193,7 @@ std::string CommunityApp::member_on(peerhood::DeviceId device) const {
 void CommunityApp::on_device_appeared(const peerhood::DeviceInfo& info) {
   if (!logged_in()) return;
   const peerhood::ServiceInfo* service =
-      info.find_service(std::string(kServiceName));
+      info.find_service(kServiceName);
   if (service == nullptr) return;
   if (config_.advertise_interests) {
     // Fast path: the neighbour publishes member + interests as service

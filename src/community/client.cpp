@@ -75,136 +75,109 @@ void CommunityClient::drain_queue() {
     queue_.erase(queue_.begin());
     ++active_calls_;
     trace_->end_span(next.queue_span, peerhood_.daemon().scheduler().now());
-    // Completion (whatever the path) releases the slot and drains again.
-    // Transient radio_busy refusals (the peer's piconet is momentarily
-    // full) re-queue with a randomized backoff instead of failing the
-    // caller.
-    std::weak_ptr<char> alive = alive_token_;
-    ResponseCallback user_done = std::move(next.done);
-    const peerhood::DeviceId device = next.device;
-    const proto::Request request = next.request;
-    const peerhood::ConnectOptions options = next.options;
-    const int busy_retries = next.busy_retries;
-    const sim::Duration call_timeout = next.timeout;
-    next.done = [this, alive, device, request, options, busy_retries,
-                 call_timeout,
-                 user_done = std::move(user_done)](Result<proto::Response> r) {
-      if (alive.expired()) {
-        // Client (and therefore its owner) is gone; user_done may capture
-        // that owner, so it must not run.
-        return;
-      }
-      --active_calls_;
-      if (!r.ok() && r.error().code == Errc::radio_busy && busy_retries > 0) {
-        auto& simulator = peerhood_.daemon().scheduler();
-        const sim::Duration backoff =
-            sim::seconds(peerhood_.daemon().transport().rng().uniform(0.2, 0.8));
-        // Randomized idle before the retry: a closed backoff span (the
-        // end is already known) feeds critical-path attribution.
-        const obs::SpanId wait = trace_->begin_span(
-            "community.backoff.wait", simulator.now(), peerhood_.self(),
-            "backoff");
-        trace_->end_span(wait, simulator.now() + backoff);
-        simulator.schedule(backoff, [this, alive, device, request, options,
-                                     busy_retries, call_timeout, user_done] {
-          if (alive.expired()) return;  // owner gone; drop the callback
-          QueuedCall retry{device, request, options, user_done,
-                           busy_retries - 1, call_timeout};
-          queue_.push_back(std::move(retry));
-          drain_queue();
-        });
-        drain_queue();
-        return;
-      }
-      // Defensive copy of the drain trigger: user_done may destroy us.
-      user_done(std::move(r));
-      if (!alive.expired()) drain_queue();
-    };
     start_call(std::move(next));
   }
 }
 
 void CommunityClient::start_call(QueuedCall call) {
-  peerhood::DeviceId device = call.device;
-  proto::Request request = std::move(call.request);
-  const peerhood::ConnectOptions options = call.options;
-  const sim::Duration call_timeout =
-      call.timeout > 0 ? call.timeout : config_.rpc_timeout;
-  ResponseCallback done = std::move(call.done);
   c_rpcs_sent_->inc();
-  const sim::Time rpc_start = peerhood_.daemon().scheduler().now();
-  const obs::SpanId span =
-      trace_->begin_span("community.rpc", rpc_start, peerhood_.self(),
-                         std::string(proto::to_string(request.op)));
+  // The call itself rides along in its RPC state, so completion can
+  // re-queue it on a transient radio_busy without a copy.
+  auto rpc = std::make_shared<Rpc>();
+  rpc->call = std::move(call);
+  rpc->start = peerhood_.daemon().scheduler().now();
+  rpc->span = trace_->begin_span("community.rpc", rpc->start, peerhood_.self(),
+                                 proto::to_string(rpc->call.request.op));
   // The request header carries the RPC span across the radio: the server
   // parents its handling span under it (one tree spanning both devices).
-  request.trace_parent = span;
+  rpc->call.request.trace_parent = rpc->span;
   std::weak_ptr<char> alive = alive_token_;
-  obs::Trace::Scope scope(*trace_, span);  // parents the session's net spans
+  obs::Trace::Scope scope(*trace_, rpc->span);  // parents the session's net spans
   peerhood_.connect(
-      device, std::string(kServiceName), options,
-      [this, alive, call_timeout, span, rpc_start,
-       request = std::move(request),
-       done = std::move(done)](Result<peerhood::Connection> connected) mutable {
+      rpc->call.device, kServiceName, rpc->call.options,
+      [this, alive, rpc](Result<peerhood::Connection> connected) {
         if (alive.expired()) {
           if (connected) connected->close();
           return;
         }
         if (!connected) {
           c_rpcs_failed_->inc();
-          finish_rpc(span, rpc_start);
-          done(connected.error());
+          finish_rpc(rpc->span, rpc->start);
+          complete(rpc, connected.error());
           return;
         }
-        struct CallState {
-          peerhood::Connection connection;
-          ResponseCallback done;
-          sim::EventId timeout = 0;
-          bool finished = false;
-        };
-        auto state = std::make_shared<CallState>();
-        state->connection = *connected;
-        state->done = std::move(done);
+        rpc->connection = *connected;
         auto& simulator = peerhood_.daemon().scheduler();
-        state->timeout =
-            simulator.schedule(call_timeout, [this, alive, state, span,
-                                              rpc_start] {
-              if (state->finished) return;
-              state->finished = true;
-              state->connection.close();
-              if (alive.expired()) return;
-              c_rpcs_failed_->inc();
-              finish_rpc(span, rpc_start);
-              state->done(Error{Errc::timeout, "rpc timed out"});
-            });
-        state->connection.on_message([this, alive, state, span,
-                                      rpc_start](BytesView data) {
-          if (state->finished) return;
-          state->finished = true;
-          auto response = proto::decode_response(data);
-          state->connection.close();
+        const sim::Duration call_timeout =
+            rpc->call.timeout > 0 ? rpc->call.timeout : config_.rpc_timeout;
+        rpc->timeout = simulator.schedule(call_timeout, [this, alive, rpc] {
+          if (rpc->finished) return;
+          rpc->finished = true;
+          rpc->connection.close();
           if (alive.expired()) return;
-          peerhood_.daemon().scheduler().cancel(state->timeout);
-          finish_rpc(span, rpc_start);
-          if (!response) {
-            c_rpcs_failed_->inc();
-            state->done(response.error());
-            return;
-          }
-          state->done(std::move(*response));
-        });
-        state->connection.on_close([this, alive, state, span,
-                                    rpc_start](const Error& reason) {
-          if (state->finished) return;
-          state->finished = true;
-          if (alive.expired()) return;
-          peerhood_.daemon().scheduler().cancel(state->timeout);
           c_rpcs_failed_->inc();
-          finish_rpc(span, rpc_start);
-          state->done(Error{Errc::connection_lost, reason.message});
+          finish_rpc(rpc->span, rpc->start);
+          complete(rpc, Error{Errc::timeout, "rpc timed out"});
         });
-        state->connection.send(proto::encode(request));
+        rpc->connection.on_message([this, alive, rpc](BytesView data) {
+          if (rpc->finished) return;
+          rpc->finished = true;
+          auto response = proto::decode_response(data);
+          rpc->connection.close();
+          if (alive.expired()) return;
+          peerhood_.daemon().scheduler().cancel(rpc->timeout);
+          finish_rpc(rpc->span, rpc->start);
+          if (!response) c_rpcs_failed_->inc();
+          complete(rpc, std::move(response));
+        });
+        rpc->connection.on_close([this, alive, rpc](const Error& reason) {
+          if (rpc->finished) return;
+          rpc->finished = true;
+          if (alive.expired()) return;
+          peerhood_.daemon().scheduler().cancel(rpc->timeout);
+          c_rpcs_failed_->inc();
+          finish_rpc(rpc->span, rpc->start);
+          complete(rpc, Error{Errc::connection_lost, reason.message});
+        });
+        writer_.clear();
+        proto::encode(rpc->call.request, writer_);
+        rpc->connection.send(writer_.data());
       });
+}
+
+void CommunityClient::complete(const std::shared_ptr<Rpc>& rpc,
+                               Result<proto::Response> result) {
+  // Whatever the path, completion releases the slot and drains again.
+  --active_calls_;
+  QueuedCall& call = rpc->call;
+  if (!result.ok() && result.error().code == Errc::radio_busy &&
+      call.busy_retries > 0) {
+    // Transient refusal (the peer's piconet is momentarily full): re-queue
+    // the same call after a randomized backoff instead of failing it.
+    --call.busy_retries;
+    call.queue_span = 0;  // ended when the call first left the queue
+    auto& simulator = peerhood_.daemon().scheduler();
+    const sim::Duration backoff =
+        sim::seconds(peerhood_.daemon().transport().rng().uniform(0.2, 0.8));
+    // Randomized idle before the retry: a closed backoff span (the end is
+    // already known) feeds critical-path attribution.
+    const obs::SpanId wait = trace_->begin_span(
+        "community.backoff.wait", simulator.now(), peerhood_.self(), "backoff");
+    trace_->end_span(wait, simulator.now() + backoff);
+    std::weak_ptr<char> alive = alive_token_;
+    simulator.schedule(backoff, [this, alive, rpc] {
+      if (alive.expired()) return;  // owner gone; drop the callback
+      queue_.push_back(std::move(rpc->call));
+      drain_queue();
+    });
+    drain_queue();
+    return;
+  }
+  // Move the callback out first: it may destroy this client.
+  const ResponseCallback done = std::move(call.done);
+  std::weak_ptr<char> alive = alive_token_;
+  done(std::move(result));
+  if (!alive.expired()) drain_queue();
 }
 
 void CommunityClient::finish_rpc(obs::SpanId span, sim::Time start) {
@@ -251,7 +224,7 @@ void CommunityClient::resolve_member(const std::string& member,
   auto cached = member_locations_.find(member);
   if (cached != member_locations_.end()) {
     // Trust the cache only while the daemon still lists the device.
-    if (peerhood_.daemon().device(cached->second)) {
+    if (peerhood_.daemon().known_device(cached->second) != nullptr) {
       c_cache_hits_->inc();
       done(cached->second);
       return;
@@ -483,7 +456,7 @@ void CommunityClient::fetch_content_chunked(
     };
     auto state = std::make_shared<ChunkState>();
     peerhood_.connect(
-        *device, std::string(kServiceName), config_.transfer_options,
+        *device, kServiceName, config_.transfer_options,
         [this, alive, state, member, name, chunk_size,
          progress = std::move(progress), done = std::move(done)](
             Result<peerhood::Connection> connected) mutable {

@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -152,9 +153,23 @@ class CommunityClient {
     /// Open while the call waits for a concurrency slot (admission queue).
     obs::SpanId queue_span = 0;
   };
+  /// One call in flight: the call as queued (kept for a radio_busy
+  /// retry), its trace span and its session.
+  struct Rpc {
+    QueuedCall call;
+    obs::SpanId span = 0;
+    sim::Time start = 0;
+    peerhood::Connection connection;
+    sim::EventId timeout = 0;
+    bool finished = false;
+  };
   /// Starts queued calls while below the concurrency limit.
   void drain_queue();
   void start_call(QueuedCall call);
+  /// Ends a call: re-queues it after a backoff on a transient radio_busy,
+  /// otherwise frees its slot and hands `result` to the caller.
+  void complete(const std::shared_ptr<Rpc>& rpc,
+                Result<proto::Response> result);
   /// Closes the RPC's trace span and records its virtual-time latency.
   void finish_rpc(obs::SpanId span, sim::Time start);
 
@@ -164,6 +179,8 @@ class CommunityClient {
   std::map<std::string, peerhood::DeviceId> member_locations_;
   std::vector<QueuedCall> queue_;
   int active_calls_ = 0;
+  /// Requests are encoded here, then copied by Connection::send.
+  proto::Writer writer_;
   /// Expires when the client is destroyed; in-flight completions captured
   /// by live sessions check it before touching `this` (a client may be torn
   /// down at logout while RPCs are still in the air).

@@ -146,8 +146,12 @@ void GroupEngine::on_peer(const std::string& member,
                           const std::vector<std::string>& interests) {
   if (member == local_member_) return;
   PeerRecord& record = peers_[member];
-  record.raw_interests = interests;
-  record.canonical = canonicalize(record.raw_interests);
+  // A refresh usually reports the same list; the canonical set is already
+  // current for it (rebuild() recanonicalizes when the dictionary learns).
+  if (record.raw_interests != interests) {
+    record.raw_interests = interests;
+    record.canonical = canonicalize(record.raw_interests);
+  }
   match_peer_against_groups(member, record);
   refresh_formed_gauge();
 }

@@ -70,9 +70,12 @@ void CommunityServer::on_accept(peerhood::Connection connection) {
     const sim::Time now = peerhood_.daemon().scheduler().now();
     const obs::SpanId span = trace_->begin_span_under(
         request->trace_parent, "community.server.handle", now,
-        peerhood_.self(), std::string(proto::to_string(request->op)));
+        peerhood_.self(), proto::to_string(request->op));
     obs::Trace::Scope handling(*trace_, span);  // parents the response send
-    holder->send(proto::encode(handle(*request)));
+    const proto::Response response = handle(*request);
+    writer_.clear();
+    proto::encode(response, writer_);
+    holder->send(writer_.data());
     trace_->end_span(span, peerhood_.daemon().scheduler().now());
   });
   holder->on_close([holder](const Error&) {

@@ -59,6 +59,8 @@ class CommunityServer {
   ProfileStore& store_;
   const SemanticDictionary& dictionary_;
   bool running_ = false;
+  /// Responses are encoded here, then copied by Connection::send.
+  proto::Writer writer_;
   // Registry handles (`community.server.d<self>.*`) into the medium's
   // per-world registry; the trace journal is shared the same way.
   obs::Registry* registry_ = nullptr;

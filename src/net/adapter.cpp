@@ -24,7 +24,8 @@ void Adapter::start_inquiry(InquiryHandler done) {
 }
 
 void Adapter::bind(Port port, DatagramHandler handler) {
-  datagram_handlers_[port] = std::move(handler);
+  datagram_handlers_[port] =
+      std::make_shared<const DatagramHandler>(std::move(handler));
 }
 
 void Adapter::unbind(Port port) { datagram_handlers_.erase(port); }

@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "net/link.hpp"
@@ -89,7 +90,9 @@ class Adapter {
   NodeId node_;
   TechProfile profile_;
   bool powered_ = true;
-  std::map<Port, DatagramHandler> datagram_handlers_;
+  /// Shared so a delivery holds the handler it runs (the handler may
+  /// rebind its own port) without copying the std::function.
+  std::map<Port, std::shared_ptr<const DatagramHandler>> datagram_handlers_;
   std::map<Port, AcceptHandler> listeners_;
   sim::Time tx_busy_until_ = 0;  // datagram serialization on this radio
   /// Index of this adapter in the Medium's per-technology SoA arrays

@@ -18,7 +18,10 @@ Technology Link::technology() const noexcept {
 }
 
 void Link::on_receive(std::function<void(BytesView)> handler) {
-  if (state_) state_->rx_for(self_) = std::move(handler);
+  if (!state_) return;
+  state_->rx_for(self_) =
+      std::make_shared<const detail::LinkState::ReceiveHandler>(
+          std::move(handler));
 }
 
 void Link::on_break(std::function<void()> handler) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 
 #include "net/tech.hpp"
 #include "net/types.hpp"
@@ -26,13 +27,18 @@ struct LinkState {
   /// still drain to the peer before the link actually dies.
   bool closing = false;
 
-  std::function<void(BytesView)> rx_a, rx_b;  // receive handler per side
-  std::function<void()> brk_a, brk_b;         // break handler per side
+  using ReceiveHandler = std::function<void(BytesView)>;
+  /// Receive handler per side; shared so a delivery holds the handler it
+  /// runs (session handshakes replace their own) without copying it.
+  std::shared_ptr<const ReceiveHandler> rx_a, rx_b;
+  std::function<void()> brk_a, brk_b;  // break handler per side
 
   sim::Time busy_a_to_b = 0;  // serialization horizon, a->b direction
   sim::Time busy_b_to_a = 0;
 
-  std::function<void(BytesView)>& rx_for(NodeId side) { return side == a ? rx_a : rx_b; }
+  std::shared_ptr<const ReceiveHandler>& rx_for(NodeId side) {
+    return side == a ? rx_a : rx_b;
+  }
   std::function<void()>& brk_for(NodeId side) { return side == a ? brk_a : brk_b; }
   NodeId peer_of(NodeId side) const { return side == a ? b : a; }
 };

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "net/link_state.hpp"
 #include "obs/prof.hpp"
@@ -264,15 +265,52 @@ double Medium::signal(NodeId a, NodeId b, const TechProfile& profile) const {
   key.flags = (static_cast<std::uint32_t>(profile.tech) << 2) |
               (profile.via_gateway ? 2u : 0u) |
               (profile.infrastructure ? 1u : 0u);
-  auto it = signal_memo_.find(key);
-  if (it != signal_memo_.end()) {
+  if (const double* memo = signal_memo_.find(key)) {
     c_signal_memo_hits_->inc();
-    return it->second;
+    return *memo;
   }
   c_signal_evals_->inc();  // the pair-evaluation cost the benches compare
   const double value = signal_physics(a, b, profile);
-  signal_memo_.emplace(key, value);
+  signal_memo_.insert(key, value);
   return value;
+}
+
+std::size_t Medium::SignalMemo::hash(const SignalKey& k) noexcept {
+  std::uint64_t h = k.pair * 0x9E3779B97F4A7C15ull;
+  h ^= k.range_bits + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+  h ^= static_cast<std::uint64_t>(k.flags) + (h << 6) + (h >> 2);
+  return static_cast<std::size_t>(h ^ (h >> 29));
+}
+
+const double* Medium::SignalMemo::find(const SignalKey& key) const noexcept {
+  if (size_ == 0) return nullptr;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.stamp != stamp_) return nullptr;  // stale slots end a probe
+    if (slot.key == key) return &slot.value;
+  }
+}
+
+void Medium::SignalMemo::insert(const SignalKey& key, double value) {
+  if ((size_ + 1) * 2 > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = hash(key) & mask;
+  while (slots_[i].stamp == stamp_) i = (i + 1) & mask;
+  slots_[i] = Slot{key, value, stamp_};
+  ++size_;
+}
+
+void Medium::SignalMemo::grow() {
+  std::vector<Slot> old = std::exchange(
+      slots_, std::vector<Slot>(std::max<std::size_t>(256, slots_.size() * 2)));
+  const std::uint64_t live = stamp_;
+  // The new array is all-zero stamps; restart the stamp above them.
+  stamp_ = 1;
+  size_ = 0;
+  for (const Slot& slot : old) {
+    if (slot.stamp == live) insert(slot.key, slot.value);
+  }
 }
 
 double Medium::signal_physics(NodeId a, NodeId b,
@@ -451,12 +489,13 @@ void Medium::deliver_datagram(Adapter& from, NodeId dst, Port port,
         if (!reachable(src, dst, sender->profile())) return;
         auto handler = receiver->datagram_handlers_.find(port);
         if (handler == receiver->datagram_handlers_.end()) return;
-        auto fn = handler->second;  // copy: handler may rebind the port
+        // Hold a reference, not a copy: the handler may rebind the port.
+        const std::shared_ptr<const DatagramHandler> fn = handler->second;
         // The flight span id travelled inside this closure — the
         // datagram's trace context. Receive-side spans begun by the
         // handler parent under it, stitching the two devices' trees.
         obs::Trace::Scope causal(trace_, span);
-        fn(src, BytesView{frame.data(), frame.size()});
+        (*fn)(src, BytesView{frame.data(), frame.size()});
       });
 }
 
@@ -593,14 +632,15 @@ void Medium::link_send(const std::shared_ptr<detail::LinkState>& state,
           break_link(st);
           return;
         }
-        // Invoke through a copy: the handler may replace itself (session
-        // handshakes install new handlers), which would otherwise destroy
-        // the executing lambda.
-        auto rx = st->rx_for(receiver);
+        // Invoke through a held reference: the handler may replace itself
+        // (session handshakes install new handlers), which would otherwise
+        // destroy the executing lambda.
+        const std::shared_ptr<const detail::LinkState::ReceiveHandler> rx =
+            st->rx_for(receiver);
         // Cross-device causality: the receiver handles the frame under
         // the sender's flight span.
         obs::Trace::Scope causal(trace_, span);
-        if (rx) rx(BytesView{frame.data(), frame.size()});
+        if (rx && *rx) (*rx)(BytesView{frame.data(), frame.size()});
       });
 }
 

@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/adapter.hpp"
@@ -265,13 +264,34 @@ class Medium {
     std::uint32_t flags = 0;       // tech + via_gateway + infrastructure
     bool operator==(const SignalKey&) const = default;
   };
-  struct SignalKeyHash {
-    std::size_t operator()(const SignalKey& k) const noexcept {
-      std::uint64_t h = k.pair * 0x9E3779B97F4A7C15ull;
-      h ^= k.range_bits + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-      h ^= static_cast<std::uint64_t>(k.flags) + (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
+  /// The per-instant signal memo: a flat open-addressing table whose
+  /// slots carry the stamp of the instant that filled them, so clear() is
+  /// one stamp bump and a lookup allocates nothing. It never evicts, so a
+  /// hit means exactly "this key was evaluated earlier in this instant".
+  /// The slot array is sized on first insert and doubles at half load.
+  class SignalMemo {
+   public:
+    void clear() noexcept {
+      ++stamp_;
+      size_ = 0;
     }
+    /// The memoized value, or nullptr if `key` is not in this instant.
+    const double* find(const SignalKey& key) const noexcept;
+    /// Records `key`, which find() just missed.
+    void insert(const SignalKey& key, double value);
+
+   private:
+    struct Slot {
+      SignalKey key;
+      double value = 0.0;
+      std::uint64_t stamp = 0;  // 0 = never filled
+    };
+    static std::size_t hash(const SignalKey& k) noexcept;
+    void grow();
+
+    std::vector<Slot> slots_;  // power-of-two size
+    std::uint64_t stamp_ = 1;
+    std::size_t size_ = 0;
   };
 
   /// A cached position is valid only while its timestamp equals the
@@ -304,9 +324,8 @@ class Medium {
   mutable std::vector<sim::Time> pos_cache_at_;
   mutable std::vector<sim::Vec2> pos_cache_;
   mutable std::vector<std::uint32_t> spatial_scratch_;
-  // Per-timestamp signal memo: valid while (timestamp, epoch) both match;
-  // clear() keeps bucket capacity so per-event resets are cheap.
-  mutable std::unordered_map<SignalKey, double, SignalKeyHash> signal_memo_;
+  // Per-timestamp signal memo: valid while (timestamp, epoch) both match.
+  mutable SignalMemo signal_memo_;
   mutable sim::Time signal_memo_at_ = 0;
   mutable std::uint64_t signal_memo_epoch_ = 0;
   std::uint64_t world_epoch_ = 1;

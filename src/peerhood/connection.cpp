@@ -24,7 +24,10 @@ int Connection::handover_count() const noexcept {
 }
 
 void Connection::on_message(std::function<void(BytesView)> handler) {
-  if (state_) state_->on_message = std::move(handler);
+  if (!state_) return;
+  state_->on_message =
+      std::make_shared<const detail::SessionState::MessageHandler>(
+          std::move(handler));
 }
 
 void Connection::on_close(std::function<void(const Error&)> handler) {
@@ -32,7 +35,7 @@ void Connection::on_close(std::function<void(const Error&)> handler) {
 }
 
 void Connection::send(BytesView payload) {
-  if (state_) state_->send_payload(Bytes(payload.begin(), payload.end()));
+  if (state_) state_->send_payload(payload);
 }
 
 void Connection::close() {

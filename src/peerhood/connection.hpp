@@ -79,13 +79,17 @@ class Connection {
   /// Times the session has moved to a different link (reactive + proactive).
   int handover_count() const noexcept;
 
-  /// In-order, exactly-once message delivery from the peer.
+  /// In-order, exactly-once message delivery from the peer. The payload
+  /// usually views the received frame itself: it is valid only inside the
+  /// handler call, so keep a copy of anything needed later.
   void on_message(std::function<void(BytesView)> handler);
   /// Invoked once when the session ends: Errc::ok for a graceful remote
   /// close, Errc::connection_lost when seamless recovery gave up.
   void on_close(std::function<void(const Error&)> handler);
 
-  /// Queues a message; survives handovers via retransmission.
+  /// Queues a message; survives handovers via retransmission. The payload
+  /// is copied before send returns (the copy is kept until the peer
+  /// acknowledges it), so the caller may reuse its buffer at once.
   void send(BytesView payload);
 
   /// Graceful close (Figure 7: "connection is terminated successfully on

@@ -15,8 +15,9 @@ proto::ServiceInfoData to_wire(const ServiceInfo& service) {
   return proto::ServiceInfoData{service.name, service.port, service.attributes};
 }
 
-ServiceInfo from_wire(const proto::ServiceInfoData& data) {
-  return ServiceInfo{data.name, data.port, data.attributes};
+ServiceInfo from_wire(proto::ServiceInfoData&& data) {
+  return ServiceInfo{std::move(data.name), data.port,
+                     std::move(data.attributes)};
 }
 
 }  // namespace
@@ -29,6 +30,7 @@ Daemon::Daemon(transport::Transport& transport, DeviceId self,
       device_name_(std::move(device_name)),
       config_(config),
       jitter_rng_(transport.rng().fork()) {
+  control_.device_name = device_name_;
   obs::Registry& registry = transport_.registry();
   trace_ = &transport_.trace();
   metric_prefix_ = "peerhood.daemon.d" + std::to_string(self_) + ".";
@@ -58,11 +60,16 @@ std::uint32_t Daemon::allocate_token() {
   // stale timeout can never collide with a fresh exchange.
   for (;;) {
     const std::uint32_t token = next_token_++;
-    if (token == 0) continue;
-    if (pending_queries_.contains(token)) continue;
+    if (token == 0) {
+      tokens_wrapped_ = true;
+      continue;
+    }
+    // Until the counter first wraps, every token in flight is below it.
+    if (!tokens_wrapped_) return token;
+    if (find_query(token) != pending_queries_.end()) continue;
     bool in_use = false;
-    for (const auto& [id, pending] : pending_pings_) {
-      if (pending == token) {
+    for (const auto& [id, neighbour] : neighbours_) {
+      if (neighbour.ping_token == token) {
         in_use = true;
         break;
       }
@@ -133,7 +140,7 @@ void Daemon::stop() {
   running_ = false;
   ++generation_;  // orphan all pending periodic callbacks
   pending_queries_.clear();
-  pending_pings_.clear();
+  for (auto& [id, neighbour] : neighbours_) neighbour.ping_token = 0;
 }
 
 Result<void> Daemon::restart() {
@@ -148,7 +155,7 @@ Result<void> Daemon::restart() {
     (void)id;
     if (!neighbour.announced) continue;
     c_neighbours_disappeared_->inc();
-    notify(NeighbourEvent::Kind::disappeared, neighbour.info,
+    notify(NeighbourEvent::Kind::disappeared, std::move(neighbour.info),
            GoneCause::blackout);
   }
   PH_LOG(info, "phd") << device_name_ << ": daemon cold-restarted, "
@@ -166,6 +173,7 @@ Result<void> Daemon::register_service(ServiceInfo service) {
   PH_LOG(info, "phd") << device_name_ << ": registered service '"
                       << service.name << "' on port " << service.port;
   local_services_.emplace(service.name, std::move(service));
+  service_reply_.clear();
   announce_services();
   return ok();
 }
@@ -174,6 +182,7 @@ Result<void> Daemon::unregister_service(const std::string& name) {
   if (local_services_.erase(name) == 0) {
     return Error{Errc::service_not_found, name};
   }
+  service_reply_.clear();
   announce_services();
   return ok();
 }
@@ -185,6 +194,7 @@ Result<void> Daemon::update_service_attributes(
     return Error{Errc::service_not_found, name};
   }
   it->second.attributes = std::move(attributes);
+  service_reply_.clear();
   announce_services();
   return ok();
 }
@@ -199,17 +209,23 @@ std::vector<ServiceInfo> Daemon::local_services() const {
 std::vector<DeviceInfo> Daemon::devices() const {
   std::vector<DeviceInfo> out;
   for (const auto& [id, neighbour] : neighbours_) {
-    if (neighbour.announced) out.push_back(neighbour.info);
+    if (neighbour.announced) out.push_back(*neighbour.info);
   }
   return out;
 }
 
 Result<DeviceInfo> Daemon::device(DeviceId id) const {
-  auto it = neighbours_.find(id);
-  if (it == neighbours_.end() || !it->second.announced) {
+  const DeviceInfo* info = known_device(id);
+  if (info == nullptr) {
     return Error{Errc::unknown_device, "device " + std::to_string(id)};
   }
-  return it->second.info;
+  return *info;
+}
+
+const DeviceInfo* Daemon::known_device(DeviceId id) const noexcept {
+  auto it = neighbours_.find(id);
+  if (it == neighbours_.end() || !it->second.announced) return nullptr;
+  return it->second.info.get();
 }
 
 std::vector<std::pair<DeviceInfo, ServiceInfo>> Daemon::find_service(
@@ -217,8 +233,8 @@ std::vector<std::pair<DeviceInfo, ServiceInfo>> Daemon::find_service(
   std::vector<std::pair<DeviceInfo, ServiceInfo>> out;
   for (const auto& [id, neighbour] : neighbours_) {
     if (!neighbour.announced) continue;
-    if (const ServiceInfo* s = neighbour.info.find_service(service_name)) {
-      out.emplace_back(neighbour.info, *s);
+    if (const ServiceInfo* s = neighbour.info->find_service(service_name)) {
+      out.emplace_back(*neighbour.info, *s);
     }
   }
   return out;
@@ -237,21 +253,43 @@ Daemon::MonitorId Daemon::monitor_device(DeviceId device,
   return id;
 }
 
-void Daemon::unmonitor(MonitorId id) { monitors_.erase(id); }
+void Daemon::unmonitor(MonitorId id) {
+  if (notify_depth_ == 0) {
+    monitors_.erase(id);
+    return;
+  }
+  // A notify is running and may be inside this very handler: retire the
+  // monitor now, erase it once the outermost notify has returned.
+  auto it = monitors_.find(id);
+  if (it == monitors_.end() || it->second.retired_at != 0) return;
+  it->second.retired_at = notify_seq_;
+  retired_monitors_.push_back(id);
+}
 
-void Daemon::notify(NeighbourEvent::Kind kind, const DeviceInfo& device,
+void Daemon::notify(NeighbourEvent::Kind kind,
+                    std::shared_ptr<const DeviceInfo> device,
                     GoneCause cause) {
-  NeighbourEvent event;
-  event.kind = kind;
-  event.device = device;
-  event.cause = cause;
-  // Iterate a copy: handlers may (un)register monitors.
-  for (const auto& [mid, monitor] : std::map(monitors_)) {
-    (void)mid;
-    if (monitor.device != net::kInvalidNode && monitor.device != device.id) {
+  const NeighbourEvent event{kind, *device, cause};
+  // Handlers may (un)register monitors; each notify still sees the
+  // monitors as they were when it began, without copying the table.
+  // Monitors registered since (ids from `end` on) are skipped. Retired
+  // ones stay in the table until the outermost notify ends, and are
+  // called only by notifies that began before they were retired.
+  const MonitorId end = next_monitor_;
+  const std::uint64_t seq = ++notify_seq_;
+  ++notify_depth_;
+  for (auto it = monitors_.begin(); it != monitors_.end() && it->first < end;
+       ++it) {
+    const Monitor& monitor = it->second;
+    if (monitor.retired_at != 0 && monitor.retired_at < seq) continue;
+    if (monitor.device != net::kInvalidNode && monitor.device != device->id) {
       continue;
     }
     if (monitor.handler) monitor.handler(event);
+  }
+  if (--notify_depth_ == 0) {
+    for (MonitorId id : retired_monitors_) monitors_.erase(id);
+    retired_monitors_.clear();
   }
 }
 
@@ -300,18 +338,18 @@ void Daemon::handle_inquiry_result(NetworkPlugin& plugin,
   const net::Technology tech = plugin.technology();
   for (DeviceId id : found) {
     Neighbour& neighbour = neighbours_[id];
-    neighbour.info.id = id;
-    neighbour.info.last_seen = scheduler_.now();
+    neighbour.info->id = id;
+    neighbour.info->last_seen = scheduler_.now();
     neighbour.missed_pings = 0;
-    if (!neighbour.info.has_technology(tech)) {
-      neighbour.info.technologies.push_back(tech);
+    if (!neighbour.info->has_technology(tech)) {
+      neighbour.info->technologies.push_back(tech);
       if (neighbour.announced) {
         notify(NeighbourEvent::Kind::updated, neighbour.info);
       }
     }
     const bool query_pending = std::any_of(
         pending_queries_.begin(), pending_queries_.end(),
-        [id](const auto& entry) { return entry.second.target == id; });
+        [id](const PendingQuery& query) { return query.target == id; });
     // Every inquiry hit refreshes the remote service list (one datagram per
     // device per scan) — services registered after the first discovery
     // become visible on the next scan ("Service Sharing", Table 3).
@@ -329,15 +367,11 @@ void Daemon::send_service_query(DeviceId target, net::Technology tech,
   c_service_queries_->inc();
   const obs::SpanId span = trace_->begin_span(
       "peerhood.service_query", scheduler_.now(), self_, "service_query");
-  proto::DaemonMessage query;
-  query.op = proto::DaemonOp::service_query;
-  query.token = token;
-  query.trace_parent = span;  // remote daemon parents its handling here
-  query.device_name = device_name_;
   {
     obs::Trace::Scope scope(*trace_, span);  // parents the query datagram
-    plugin->endpoint().send_datagram(target, net::kDaemonPort,
-                                     proto::encode(query));
+    // The remote daemon parents its handling under `span`.
+    send_control(plugin->endpoint(), target, proto::DaemonOp::service_query,
+                 token, span);
   }
   // High-latency technologies (GPRS routes every frame through the
   // operator gateway) need a longer reply window than the configured
@@ -353,6 +387,7 @@ void Daemon::send_service_query(DeviceId target, net::Technology tech,
   const sim::Duration timeout =
       retry_backoff(base).delay(attempt, jitter_rng_);
   PendingQuery pending;
+  pending.token = token;
   pending.target = target;
   pending.tech = tech;
   pending.attempts_left = attempts_left - 1;
@@ -360,9 +395,9 @@ void Daemon::send_service_query(DeviceId target, net::Technology tech,
   const obs::prof::TagScope tag(obs::prof::Center::peerhood_query);
   pending.timeout_event =
       scheduler_.schedule(timeout, [this, token] {
-        auto it = pending_queries_.find(token);
+        auto it = find_query(token);
         if (it == pending_queries_.end()) return;  // answered
-        const PendingQuery timed_out = it->second;
+        const PendingQuery timed_out = *it;
         pending_queries_.erase(it);
         trace_->end_span(timed_out.span, scheduler_.now());
         if (timed_out.attempts_left > 0) {
@@ -373,78 +408,95 @@ void Daemon::send_service_query(DeviceId target, net::Technology tech,
                              timed_out.attempts_left);
         }
       });
-  pending_queries_.emplace(token, pending);
+  pending_queries_.push_back(pending);
+}
+
+std::vector<Daemon::PendingQuery>::iterator Daemon::find_query(
+    std::uint32_t token) {
+  return std::find_if(
+      pending_queries_.begin(), pending_queries_.end(),
+      [token](const PendingQuery& query) { return query.token == token; });
+}
+
+void Daemon::send_control(transport::Endpoint& endpoint, DeviceId dst,
+                          proto::DaemonOp op, std::uint32_t token,
+                          std::uint64_t trace_parent) {
+  control_.op = op;
+  control_.token = token;
+  control_.trace_parent = trace_parent;
+  writer_.clear();
+  proto::encode(control_, writer_);
+  endpoint.send_datagram(dst, net::kDaemonPort, writer_.data());
+}
+
+BytesView Daemon::service_reply(std::uint32_t token,
+                                std::uint64_t trace_parent) {
+  if (service_reply_.empty()) {
+    proto::DaemonMessage reply;
+    reply.op = proto::DaemonOp::service_reply;
+    reply.device_name = device_name_;
+    for (const auto& [name, service] : local_services_) {
+      reply.services.push_back(to_wire(service));
+    }
+    service_reply_ = proto::encode(reply);
+  }
+  proto::patch_daemon_header(service_reply_, token, trace_parent);
+  return service_reply_;
 }
 
 void Daemon::on_daemon_datagram(NetworkPlugin& plugin, DeviceId src,
                                 BytesView payload) {
-  auto decoded = proto::decode_daemon_message(payload);
+  // A view over the frame: valid for this call only.
+  auto decoded = proto::decode_daemon_view(payload);
   if (!decoded) {
     PH_LOG(warn, "phd") << device_name_ << ": bad control datagram from "
                         << src << ": " << decoded.error().to_string();
     return;
   }
-  const proto::DaemonMessage& message = *decoded;
+  const proto::DaemonMessageView& message = *decoded;
   // Receive-side span: parented under the remote sender's span carried in
   // the message header (falls back to the datagram flight span the medium
   // pushed around this handler), so both devices share one tree.
   const obs::SpanId handle_span = trace_->begin_span_under(
       message.trace_parent, "peerhood.daemon.handle", scheduler_.now(), self_,
-      std::string(proto::to_string(message.op)));
+      proto::to_string(message.op));
   obs::Trace::Scope handling(*trace_, handle_span);
   switch (message.op) {
-    case proto::DaemonOp::service_query: {
-      proto::DaemonMessage reply;
-      reply.op = proto::DaemonOp::service_reply;
-      reply.token = message.token;
-      reply.trace_parent = handle_span;
-      reply.device_name = device_name_;
-      for (const auto& [name, service] : local_services_) {
-        reply.services.push_back(to_wire(service));
-      }
+    case proto::DaemonOp::service_query:
       plugin.endpoint().send_datagram(src, net::kDaemonPort,
-                                      proto::encode(reply));
+                                      service_reply(message.token, handle_span));
       break;
-    }
     case proto::DaemonOp::service_reply: {
       if (message.token == 0) {
         // Unsolicited push announcement (WLAN broadcast): apply directly.
         apply_service_reply(plugin, src, message);
         break;
       }
-      auto pending = pending_queries_.find(message.token);
+      auto pending = find_query(message.token);
       if (pending == pending_queries_.end()) break;  // late duplicate
-      scheduler_.cancel(pending->second.timeout_event);
-      trace_->end_span(pending->second.span, scheduler_.now());
+      scheduler_.cancel(pending->timeout_event);
+      trace_->end_span(pending->span, scheduler_.now());
       pending_queries_.erase(pending);
       c_service_replies_->inc();
       apply_service_reply(plugin, src, message);
       break;
     }
-    case proto::DaemonOp::ping: {
-      proto::DaemonMessage pong;
-      pong.op = proto::DaemonOp::pong;
-      pong.token = message.token;
-      pong.trace_parent = handle_span;
-      pong.device_name = device_name_;
-      plugin.endpoint().send_datagram(src, net::kDaemonPort,
-                                      proto::encode(pong));
+    case proto::DaemonOp::ping:
+      send_control(plugin.endpoint(), src, proto::DaemonOp::pong,
+                   message.token, handle_span);
       break;
-    }
     case proto::DaemonOp::pong: {
       // Any pong from the device proves liveness — including one answering
       // an older round's ping that arrived after the next round started
       // (normal on high-latency technologies like GPRS, where the round
       // trip can exceed the ping interval).
       c_pongs_received_->inc();
-      auto pending = pending_pings_.find(src);
-      if (pending != pending_pings_.end() && pending->second == message.token) {
-        pending_pings_.erase(pending);
-      }
       auto it = neighbours_.find(src);
       if (it != neighbours_.end()) {
-        it->second.missed_pings = 0;
-        it->second.info.last_seen = scheduler_.now();
+        Neighbour& neighbour = it->second;
+        if (neighbour.ping_token == message.token) neighbour.ping_token = 0;
+        neighbour.missed_pings = 0;
+        neighbour.info->last_seen = scheduler_.now();
       }
       break;
     }
@@ -453,21 +505,31 @@ void Daemon::on_daemon_datagram(NetworkPlugin& plugin, DeviceId src,
 }
 
 void Daemon::apply_service_reply(NetworkPlugin& plugin, DeviceId src,
-                                 const proto::DaemonMessage& message) {
+                                 const proto::DaemonMessageView& message) {
   Neighbour& neighbour = neighbours_[src];
-  neighbour.info.id = src;
-  neighbour.info.name = message.device_name;
-  neighbour.info.last_seen = scheduler_.now();
-  if (!neighbour.info.has_technology(plugin.technology())) {
-    neighbour.info.technologies.push_back(plugin.technology());
+  DeviceInfo& info = *neighbour.info;
+  info.id = src;
+  if (info.name != message.device_name) info.name = message.device_name;
+  info.last_seen = scheduler_.now();
+  if (!info.has_technology(plugin.technology())) {
+    info.technologies.push_back(plugin.technology());
   }
-  std::vector<ServiceInfo> services;
-  services.reserve(message.services.size());
-  for (const auto& s : message.services) services.push_back(from_wire(s));
   // Any difference counts — new/removed services AND attribute edits
-  // (applications may publish live data through attributes).
-  const bool changed = services != neighbour.info.services;
-  neighbour.info.services = std::move(services);
+  // (applications may publish live data through attributes). The same
+  // bytes as last time decode to the same list, so only a list that
+  // changed on the wire is decoded and compared.
+  bool changed = false;
+  if (!std::ranges::equal(message.services, neighbour.services_wire)) {
+    auto decoded = proto::decode_services(message.services);
+    if (!decoded) return;  // cannot happen: the view was validated
+    std::vector<ServiceInfo> services;
+    services.reserve(decoded->size());
+    for (auto& s : *decoded) services.push_back(from_wire(std::move(s)));
+    changed = services != info.services;
+    info.services = std::move(services);
+    neighbour.services_wire.assign(message.services.begin(),
+                                   message.services.end());
+  }
   neighbour.services_known = true;
   if (neighbour.announced && changed) {
     notify(NeighbourEvent::Kind::updated, neighbour.info);
@@ -476,14 +538,7 @@ void Daemon::apply_service_reply(NetworkPlugin& plugin, DeviceId src,
 }
 
 void Daemon::announce_services() {
-  proto::DaemonMessage announce;
-  announce.op = proto::DaemonOp::service_reply;
-  announce.token = 0;  // unsolicited
-  announce.device_name = device_name_;
-  for (const auto& [name, service] : local_services_) {
-    announce.services.push_back(to_wire(service));
-  }
-  const Bytes payload = proto::encode(announce);
+  const BytesView payload = service_reply(0, 0);  // token 0: unsolicited
   for (auto& plugin : plugins_) {
     if (!plugin->profile().supports_broadcast) continue;
     plugin->endpoint().broadcast_datagram(net::kDaemonPort, payload);
@@ -504,12 +559,14 @@ void Daemon::schedule_ping_round() {
 void Daemon::run_ping_round() {
   expire_stale_entries();
   // Any ping from the previous round still unanswered counts as missed.
-  for (auto it = pending_pings_.begin(); it != pending_pings_.end();) {
-    auto neighbour = neighbours_.find(it->first);
-    it = pending_pings_.erase(it);
-    if (neighbour == neighbours_.end()) continue;
-    if (++neighbour->second.missed_pings >= config_.max_missed_pings) {
-      declare_gone(neighbour->first, GoneCause::missed_pings);
+  for (auto it = neighbours_.begin(); it != neighbours_.end();) {
+    const DeviceId id = it->first;
+    Neighbour& neighbour = it->second;
+    ++it;  // declare_gone erases this entry
+    if (neighbour.ping_token == 0) continue;
+    neighbour.ping_token = 0;
+    if (++neighbour.missed_pings >= config_.max_missed_pings) {
+      declare_gone(id, GoneCause::missed_pings);
     }
   }
   for (auto& [id, neighbour] : neighbours_) {
@@ -532,7 +589,7 @@ bool Daemon::send_ping(DeviceId id, int attempt) {
   NetworkPlugin* best = nullptr;
   double best_signal = 0.0;
   for (auto& plugin : plugins_) {
-    if (!it->second.info.has_technology(plugin->technology())) continue;
+    if (!it->second.info->has_technology(plugin->technology())) continue;
     const double s = plugin->endpoint().signal_to(id);
     if (s > best_signal) {
       best_signal = s;
@@ -541,13 +598,9 @@ bool Daemon::send_ping(DeviceId id, int attempt) {
   }
   if (best == nullptr) return false;
   const std::uint32_t token = allocate_token();
-  pending_pings_[id] = token;
+  it->second.ping_token = token;
   c_pings_sent_->inc();
-  proto::DaemonMessage ping;
-  ping.op = proto::DaemonOp::ping;
-  ping.token = token;
-  ping.device_name = device_name_;
-  best->endpoint().send_datagram(id, net::kDaemonPort, proto::encode(ping));
+  send_control(best->endpoint(), id, proto::DaemonOp::ping, token, 0);
   schedule_ping_retry(id, token, attempt);
   return true;
 }
@@ -572,9 +625,12 @@ void Daemon::schedule_ping_retry(DeviceId id, std::uint32_t token,
   const obs::prof::TagScope tag(obs::prof::Center::peerhood_ping);
   scheduler_.schedule(delay, [this, gen, id, token, attempt] {
     if (!running_ || gen != generation_) return;
-    auto pending = pending_pings_.find(id);
+    auto neighbour = neighbours_.find(id);
     // Answered, evicted, or superseded by the next round meanwhile.
-    if (pending == pending_pings_.end() || pending->second != token) return;
+    if (neighbour == neighbours_.end() ||
+        neighbour->second.ping_token != token) {
+      return;
+    }
     send_ping(id, attempt + 1);
   });
 }
@@ -583,14 +639,13 @@ void Daemon::declare_gone(DeviceId id, GoneCause cause) {
   auto it = neighbours_.find(id);
   if (it == neighbours_.end()) return;
   const bool was_announced = it->second.announced;
-  const DeviceInfo last_known = it->second.info;
+  std::shared_ptr<const DeviceInfo> last_known = std::move(it->second.info);
   neighbours_.erase(it);
-  pending_pings_.erase(id);
   refresh_table_gauges();
   if (!was_announced) return;
   c_neighbours_disappeared_->inc();
   PH_LOG(info, "phd") << device_name_ << ": device " << id << " disappeared";
-  notify(NeighbourEvent::Kind::disappeared, last_known, cause);
+  notify(NeighbourEvent::Kind::disappeared, std::move(last_known), cause);
 }
 
 void Daemon::announce_if_ready(Neighbour& neighbour) {
@@ -598,19 +653,19 @@ void Daemon::announce_if_ready(Neighbour& neighbour) {
   neighbour.announced = true;
   c_neighbours_appeared_->inc();
   refresh_table_gauges();
-  PH_LOG(info, "phd") << device_name_ << ": device '" << neighbour.info.name
-                      << "' (" << neighbour.info.id << ") appeared with "
-                      << neighbour.info.services.size() << " service(s)";
-  // Snapshot first: handlers may mutate the neighbour table.
-  const DeviceInfo snapshot = neighbour.info;
-  notify(NeighbourEvent::Kind::appeared, snapshot);
+  PH_LOG(info, "phd") << device_name_ << ": device '" << neighbour.info->name
+                      << "' (" << neighbour.info->id << ") appeared with "
+                      << neighbour.info->services.size() << " service(s)";
+  notify(NeighbourEvent::Kind::appeared, neighbour.info);
 }
 
 void Daemon::expire_stale_entries() {
   const sim::Time now = scheduler_.now();
   std::vector<DeviceId> stale;
   for (const auto& [id, neighbour] : neighbours_) {
-    if (neighbour.info.last_seen + config_.entry_ttl < now) stale.push_back(id);
+    if (neighbour.info->last_seen + config_.entry_ttl < now) {
+      stale.push_back(id);
+    }
   }
   for (DeviceId id : stale) declare_gone(id, GoneCause::expired);
 }
@@ -622,8 +677,8 @@ void Daemon::refresh_table_gauges() {
   for (const auto& [id, neighbour] : neighbours_) {
     if (!neighbour.announced) continue;
     ++announced;
-    if (now > neighbour.info.last_seen) {
-      staleness = std::max(staleness, now - neighbour.info.last_seen);
+    if (now > neighbour.info->last_seen) {
+      staleness = std::max(staleness, now - neighbour.info->last_seen);
     }
   }
   g_neighbour_count_->set(announced);

@@ -35,6 +35,7 @@
 #include "obs/trace.hpp"
 #include "peerhood/plugin.hpp"
 #include "peerhood/types.hpp"
+#include "proto/codec.hpp"
 #include "proto/daemon.hpp"
 #include "sim/backoff.hpp"
 #include "transport/transport.hpp"
@@ -89,8 +90,10 @@ struct NeighbourEvent {
   };
   Kind kind = Kind::appeared;
   /// Last known state of the device — still populated for `disappeared`,
-  /// so handlers can clean up by name/services, not just id.
-  DeviceInfo device;
+  /// so handlers can clean up by name/services, not just id. Refers to the
+  /// daemon's own record: valid only inside the handler call, so copy
+  /// what must outlive it.
+  const DeviceInfo& device;
   /// Meaningful only when kind == disappeared.
   GoneCause cause = GoneCause::missed_pings;
 };
@@ -143,6 +146,10 @@ class Daemon {
   // --- neighbourhood ------------------------------------------------------
   std::vector<DeviceInfo> devices() const;
   Result<DeviceInfo> device(DeviceId id) const;
+  /// device() without the copy: the announced neighbour's record, or
+  /// nullptr. The pointer is valid until the neighbour table next changes
+  /// (any datagram, scan or timer), so read it at once.
+  const DeviceInfo* known_device(DeviceId id) const noexcept;
   /// All (device, service) pairs advertising `service_name`.
   std::vector<std::pair<DeviceInfo, ServiceInfo>> find_service(
       std::string_view service_name) const;
@@ -168,6 +175,12 @@ class Daemon {
   /// The plugin driving `tech`, or nullptr.
   NetworkPlugin* plugin_for(net::Technology tech);
 
+  /// The device's one reused encode buffer. The daemon encodes its
+  /// datagrams into it and its sessions their frames; each then hands the
+  /// bytes to a transport send, which copies them before returning. Clear
+  /// it before use and never keep its contents across another call.
+  proto::Writer& writer() noexcept { return writer_; }
+
   /// The substrate this daemon runs on.
   transport::Transport& transport() noexcept { return transport_; }
   transport::Scheduler& scheduler() noexcept { return scheduler_; }
@@ -178,13 +191,21 @@ class Daemon {
 
  private:
   struct Neighbour {
-    DeviceInfo info;
+    /// Shared so a notify can hand handlers the record itself and still
+    /// survive a handler that drops the entry.
+    std::shared_ptr<DeviceInfo> info = std::make_shared<DeviceInfo>();
+    /// The service list as last received on the wire; an identical reply
+    /// (the common case) is applied without decoding it again.
+    Bytes services_wire;
+    /// Token of this round's unanswered ping; 0 = none outstanding.
+    std::uint32_t ping_token = 0;
     int missed_pings = 0;
     bool services_known = false;
     bool announced = false;  // on_appear already fired
   };
 
   struct PendingQuery {
+    std::uint32_t token = 0;
     DeviceId target = net::kInvalidNode;
     net::Technology tech = net::Technology::bluetooth;
     int attempts_left = 0;
@@ -195,6 +216,9 @@ class Daemon {
   struct Monitor {
     DeviceId device = net::kInvalidNode;  // kInvalidNode = all devices
     NeighbourHandler handler;
+    /// Set when unmonitor() ran during a notify: the notify_seq_ of the
+    /// newest notify begun by then (0 = live). See notify().
+    std::uint64_t retired_at = 0;
   };
 
   void bind_control_port(NetworkPlugin& plugin);
@@ -207,14 +231,24 @@ class Daemon {
   /// in-flight exchange, so week-long soaks can never collide a stale
   /// timeout with a fresh query.
   std::uint32_t allocate_token();
+  std::vector<PendingQuery>::iterator find_query(std::uint32_t token);
   /// Backoff policy for query/ping retries (base = that exchange's reply
   /// window).
   sim::Backoff retry_backoff(sim::Duration base) const;
   void on_daemon_datagram(NetworkPlugin& plugin, DeviceId src, BytesView payload);
+  /// Encodes a header-only message (query, ping, pong) into writer_ and
+  /// sends it to `dst`'s daemon.
+  void send_control(transport::Endpoint& endpoint, DeviceId dst,
+                    proto::DaemonOp op, std::uint32_t token,
+                    std::uint64_t trace_parent);
+  /// The SERVICE_REPLY advertising the local registry, stamped with
+  /// `token` and `trace_parent`: encoded once per registry change, then
+  /// only re-stamped.
+  BytesView service_reply(std::uint32_t token, std::uint64_t trace_parent);
   /// Updates the neighbour table from a SERVICE_REPLY (answered query or
   /// unsolicited broadcast announcement).
   void apply_service_reply(NetworkPlugin& plugin, DeviceId src,
-                           const proto::DaemonMessage& message);
+                           const proto::DaemonMessageView& message);
   /// Pushes the local service list to broadcast-capable radios (WLAN):
   /// neighbours learn of registry changes immediately, not at their next
   /// scan.
@@ -234,8 +268,10 @@ class Daemon {
   /// every table change and once per ping round (staleness grows with
   /// virtual time even when the table is static).
   void refresh_table_gauges();
-  /// Fans one event out to every matching monitor.
-  void notify(NeighbourEvent::Kind kind, const DeviceInfo& device,
+  /// Fans one event out to every matching monitor. Takes the record by
+  /// shared_ptr so it outlives a handler that removes the neighbour.
+  void notify(NeighbourEvent::Kind kind,
+              std::shared_ptr<const DeviceInfo> device,
               GoneCause cause = GoneCause::missed_pings);
 
   transport::Transport& transport_;
@@ -248,12 +284,26 @@ class Daemon {
   std::vector<std::unique_ptr<NetworkPlugin>> plugins_;
   std::map<std::string, ServiceInfo> local_services_;
   std::map<DeviceId, Neighbour> neighbours_;
-  std::map<std::uint32_t, PendingQuery> pending_queries_;
-  std::map<DeviceId, std::uint32_t> pending_pings_;  // device -> token
+  /// In-flight service queries; a handful at a time, so a flat vector
+  /// whose capacity is reused.
+  std::vector<PendingQuery> pending_queries_;
   std::uint32_t next_token_ = 1;
+  bool tokens_wrapped_ = false;  // next_token_ has passed 2^32 once
 
   std::map<MonitorId, Monitor> monitors_;
   MonitorId next_monitor_ = 1;
+  /// notify() nesting depth, notifies begun so far, and the monitors
+  /// retired while one ran (erased when the outermost ends).
+  int notify_depth_ = 0;
+  std::uint64_t notify_seq_ = 0;
+  std::vector<MonitorId> retired_monitors_;
+
+  /// See writer(). control_ is the header-only message template (device
+  /// name set once); service_reply_ the encoded advertisement, empty
+  /// until first needed after a registry change.
+  proto::Writer writer_;
+  proto::DaemonMessage control_;
+  Bytes service_reply_;
 
   /// Incremented on every start/stop; periodic callbacks from an older
   /// generation recognise themselves as stale and do not reschedule.

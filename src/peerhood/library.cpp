@@ -109,22 +109,21 @@ void PeerHood::accept_channel(const std::shared_ptr<ServiceEndpoint>& endpoint,
   // The first frame decides: HELLO opens a session, RESUME reattaches one.
   // Channel is a value handle, so the captured copy keeps it alive until
   // that frame arrives.
-  auto pending = std::make_shared<transport::Channel>(channel);
   std::weak_ptr<ServiceEndpoint> weak_ep = endpoint;
-  channel.on_receive([this, weak_ep, pending](BytesView data) {
+  channel.on_receive([this, weak_ep, pending = channel](BytesView data) mutable {
     auto ep = weak_ep.lock();
     if (!ep) {
-      pending->close();
+      pending.close();
       return;
     }
-    auto wire = detail::decode_session_wire(data);
+    auto wire = proto::decode_session_wire(data);
     if (!wire) {
       PH_LOG(warn, "phlib") << "dropping channel with malformed handshake";
-      pending->close();
+      pending.close();
       return;
     }
     switch (wire->op) {
-      case detail::SessionOp::hello: {
+      case proto::SessionOp::hello: {
         // This handler runs under the client's HELLO flight span (the
         // substrate pushes it around delivery), so the accept span — and
         // everything the application does from on_accept — parents under
@@ -139,11 +138,11 @@ void PeerHood::accept_channel(const std::shared_ptr<ServiceEndpoint>& endpoint,
         state->daemon = &daemon_;
         state->id = wire->session;
         state->self = daemon_.self();
-        state->peer = pending->remote_node();
+        state->peer = pending.remote_node();
         state->service_port = ep->info.port;
         state->initiator = false;
         state->established = true;
-        state->attach_channel(*pending);
+        state->attach_channel(pending);
         ep->sessions[state->id] = state;
         state->on_ended = [weak_ep](std::uint64_t id) {
           if (auto e = weak_ep.lock()) e->sessions.erase(id);
@@ -152,7 +151,7 @@ void PeerHood::accept_channel(const std::shared_ptr<ServiceEndpoint>& endpoint,
         journal.end_span(accept_span, daemon_.scheduler().now());
         break;
       }
-      case detail::SessionOp::resume: {
+      case proto::SessionOp::resume: {
         auto found = ep->sessions.find(wire->session);
         auto state = found == ep->sessions.end()
                          ? nullptr
@@ -169,11 +168,11 @@ void PeerHood::accept_channel(const std::shared_ptr<ServiceEndpoint>& endpoint,
           fresh->daemon = &daemon_;
           fresh->id = wire->session;
           fresh->self = daemon_.self();
-          fresh->peer = pending->remote_node();
+          fresh->peer = pending.remote_node();
           fresh->service_port = ep->info.port;
           fresh->initiator = false;
           fresh->established = true;
-          fresh->attach_channel(*pending);
+          fresh->attach_channel(pending);
           ep->sessions[fresh->id] = fresh;
           fresh->on_ended = [weak_ep](std::uint64_t id) {
             if (auto e = weak_ep.lock()) e->sessions.erase(id);
@@ -183,7 +182,7 @@ void PeerHood::accept_channel(const std::shared_ptr<ServiceEndpoint>& endpoint,
           break;
         }
         state->scheduler().cancel(state->server_wait_timer);
-        state->attach_channel(*pending);
+        state->attach_channel(pending);
         state->established = true;
         ++state->handovers;
         // Let the normal wire path answer with RESUME_ACK + retransmit.
@@ -192,23 +191,26 @@ void PeerHood::accept_channel(const std::shared_ptr<ServiceEndpoint>& endpoint,
       }
       default:
         PH_LOG(warn, "phlib") << "unexpected pre-handshake frame";
-        pending->close();
+        pending.close();
         break;
     }
   });
 }
 
-void PeerHood::connect(DeviceId device, const std::string& service,
+void PeerHood::connect(DeviceId device, std::string_view service,
                        ConnectOptions options, ConnectCallback done) {
-  auto info = daemon_.device(device);
-  if (!info) {
-    done(info.error());
+  // Read the daemon's record in place; nothing below runs other code
+  // before the last use of `info`.
+  const DeviceInfo* info = daemon_.known_device(device);
+  if (info == nullptr) {
+    done(Error{Errc::unknown_device, "device " + std::to_string(device)});
     return;
   }
   const ServiceInfo* remote = info->find_service(service);
   if (remote == nullptr) {
     done(Error{Errc::service_not_found,
-               service + " not advertised by device " + std::to_string(device)});
+               std::string(service) + " not advertised by device " +
+                   std::to_string(device)});
     return;
   }
 
@@ -222,10 +224,6 @@ void PeerHood::connect(DeviceId device, const std::string& service,
   state->options = options;
 
   // Radios ranked best-signal-first, free technologies preferred on ties.
-  struct Candidate {
-    NetworkPlugin* plugin;
-    double signal;
-  };
   std::vector<Candidate> ranked;
   for (auto& plugin : daemon_.plugins()) {
     if (options.force_technology &&
@@ -246,16 +244,13 @@ void PeerHood::connect(DeviceId device, const std::string& service,
                "no radio reaches device " + std::to_string(device)});
     return;
   }
-  std::vector<NetworkPlugin*> candidates;
-  candidates.reserve(ranked.size());
-  for (const Candidate& c : ranked) candidates.push_back(c.plugin);
-  try_connect(std::move(state), std::move(candidates), 0,
+  try_connect(std::move(state), std::move(ranked), 0,
               Error{Errc::connect_failed, "no radio attempted"},
               std::move(done));
 }
 
 void PeerHood::try_connect(std::shared_ptr<detail::SessionState> state,
-                           std::vector<NetworkPlugin*> candidates,
+                           std::vector<Candidate> candidates,
                            std::size_t index, Error last_error,
                            ConnectCallback done) {
   if (index >= candidates.size()) {
@@ -264,7 +259,7 @@ void PeerHood::try_connect(std::shared_ptr<detail::SessionState> state,
     done(std::move(last_error));
     return;
   }
-  NetworkPlugin* plugin = candidates[index];
+  NetworkPlugin* plugin = candidates[index].plugin;
   plugin->endpoint().connect(
       state->peer, state->service_port,
       [this, state, candidates = std::move(candidates), index,
@@ -277,10 +272,7 @@ void PeerHood::try_connect(std::shared_ptr<detail::SessionState> state,
         }
         state->attach_channel(*channel);
         state->established = true;
-        detail::SessionWire hello;
-        hello.op = detail::SessionOp::hello;
-        hello.session = state->id;
-        state->send_wire(hello);
+        state->send_wire({proto::SessionOp::hello, state->id, 0, 0, {}});
         state->arm_monitor();
         done(Connection{state});
       });

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "peerhood/connection.hpp"
 #include "peerhood/daemon.hpp"
@@ -57,7 +58,7 @@ class PeerHood {
   /// Opens a session to `service` on `device` (Figure 9's pConnect). Radios
   /// are tried best-signal-first. Completion is asynchronous; on success
   /// the Connection is already usable.
-  void connect(DeviceId device, const std::string& service,
+  void connect(DeviceId device, std::string_view service,
                ConnectOptions options, ConnectCallback done);
 
   // --- PHD passthrough ------------------------------------------------------
@@ -81,8 +82,14 @@ class PeerHood {
   /// still bound to a registered service. Returns 0 when every port is
   /// taken.
   net::Port allocate_port();
+  /// A radio that reaches the peer, with its signal at connect time.
+  struct Candidate {
+    NetworkPlugin* plugin;
+    double signal;
+  };
+  /// Tries candidates[index] and, on failure, the ones after it.
   void try_connect(std::shared_ptr<detail::SessionState> state,
-                   std::vector<NetworkPlugin*> candidates, std::size_t index,
+                   std::vector<Candidate> candidates, std::size_t index,
                    Error last_error, ConnectCallback done);
 
   Daemon& daemon_;

@@ -3,44 +3,11 @@
 #include "peerhood/session_state.hpp"
 #include "sim/backoff.hpp"
 #include "proto/codec.hpp"
+#include "proto/session.hpp"
 #include "util/log.hpp"
 #include "obs/prof.hpp"
 
 namespace ph::peerhood::detail {
-
-Bytes encode(const SessionWire& wire) {
-  proto::Writer w;
-  w.u8(static_cast<std::uint8_t>(wire.op));
-  w.u64(wire.session);
-  w.u32(wire.seq);
-  w.u64(wire.trace);
-  w.bytes(wire.payload);
-  return std::move(w).take();
-}
-
-Result<SessionWire> decode_session_wire(BytesView data) {
-  proto::Reader r(data);
-  SessionWire wire;
-  auto op = r.u8();
-  if (!op) return op.error();
-  if (*op < 1 || *op > static_cast<std::uint8_t>(SessionOp::close)) {
-    return Error{Errc::protocol_error, "unknown session op"};
-  }
-  wire.op = static_cast<SessionOp>(*op);
-  auto session = r.u64();
-  if (!session) return session.error();
-  wire.session = *session;
-  auto seq = r.u32();
-  if (!seq) return seq.error();
-  wire.seq = *seq;
-  auto trace = r.u64();
-  if (!trace) return trace.error();
-  wire.trace = *trace;
-  auto payload = r.bytes();
-  if (!payload) return payload.error();
-  wire.payload = std::move(*payload);
-  return wire;
-}
 
 void SessionState::attach_channel(transport::Channel new_channel) {
   channel = new_channel;
@@ -50,7 +17,7 @@ void SessionState::attach_channel(transport::Channel new_channel) {
   channel.on_receive([weak, new_channel](BytesView data) {
     auto self = weak.lock();
     if (!self || self->closed || !(self->channel == new_channel)) return;
-    auto wire = decode_session_wire(data);
+    auto wire = proto::decode_session_wire(data);
     if (!wire) {
       PH_LOG(warn, "conn") << "malformed session frame: "
                            << wire.error().to_string();
@@ -65,30 +32,55 @@ void SessionState::attach_channel(transport::Channel new_channel) {
   });
 }
 
-void SessionState::send_wire(const SessionWire& wire) {
-  if (channel.open()) channel.send(encode(wire));
+void SessionState::send_wire(const proto::SessionWire& wire) {
+  if (!channel.open()) return;
+  // The transport copies the frame before send returns, so the writer is
+  // free again for whatever the send might set off.
+  proto::Writer& out = daemon->writer();
+  out.clear();
+  proto::encode(wire, out);
+  channel.send(out.data());
 }
 
 obs::Trace& SessionState::journal() { return daemon->transport().trace(); }
 
-void SessionState::send_payload(Bytes payload) {
+void SessionState::send_payload(BytesView payload) {
   if (closed) return;
   const std::uint32_t seq = next_seq++;
   // The innermost open span (the RPC, the task) rides the wire so the
   // peer parents its handling under the remote sender — including when
   // the frame is retransmitted over a different channel after handover.
   const std::uint64_t trace_ctx = journal().current_context();
-  unacked.push_back({seq, payload, trace_ctx});
-  SessionWire wire;
-  wire.op = SessionOp::data;
-  wire.session = id;
-  wire.seq = seq;
-  wire.trace = trace_ctx;
-  wire.payload = std::move(payload);
-  send_wire(wire);  // dropped when channel is down; resume retransmits
+  const Outstanding& entry = unacked.emplace_back(
+      Outstanding{seq, Bytes(payload.begin(), payload.end()), trace_ctx});
+  // Encoded from the unacked copy: send_wire is done reading it before
+  // anything can touch unacked again.
+  send_wire({proto::SessionOp::data, id, seq, trace_ctx, entry.payload});
 }
 
-void SessionState::handle_wire(const SessionWire& wire) {
+void SessionState::deliver(BytesView payload, std::uint64_t trace) {
+  ++last_delivered;
+  if (!on_message) return;
+  // Hold the handler: it may close the session, which releases
+  // on_message, and must not destroy the lambda it is running in.
+  const std::shared_ptr<const MessageHandler> handler = on_message;
+  // Deliver under the remote sender's span from the wire (a reordered
+  // frame would otherwise inherit the wrong flight span from the
+  // channel's receive path).
+  obs::Trace::Scope causal(journal(), trace);
+  (*handler)(payload);
+}
+
+void SessionState::drop_acked(std::uint32_t delivered) {
+  auto first_kept = unacked.begin();
+  while (first_kept != unacked.end() && first_kept->seq <= delivered) {
+    ++first_kept;
+  }
+  unacked.erase(unacked.begin(), first_kept);
+}
+
+void SessionState::handle_wire(const proto::SessionWire& wire) {
+  using proto::SessionOp;
   switch (wire.op) {
     case SessionOp::hello:
       // Handled at accept time by the library; a duplicate here is noise.
@@ -98,11 +90,7 @@ void SessionState::handle_wire(const SessionWire& wire) {
       // acknowledge with our delivery point and retransmit what the client
       // lacks.
       if (!initiator) {
-        SessionWire ack;
-        ack.op = SessionOp::resume_ack;
-        ack.session = id;
-        ack.seq = last_delivered;
-        send_wire(ack);
+        send_wire({SessionOp::resume_ack, id, last_delivered, 0, {}});
         retransmit_from(wire.seq);
       }
       break;
@@ -125,40 +113,28 @@ void SessionState::handle_wire(const SessionWire& wire) {
       }
       break;
     case SessionOp::data: {
-      // Acknowledge cumulatively, deliver in order exactly once.
-      if (wire.seq > last_delivered) {
-        reorder.emplace(wire.seq, Arrival{wire.payload, wire.trace});
-        while (!reorder.empty() &&
-               reorder.begin()->first == last_delivered + 1) {
-          Arrival arrival = std::move(reorder.begin()->second);
-          Bytes payload = std::move(arrival.payload);
-          reorder.erase(reorder.begin());
-          ++last_delivered;
-          if (on_message) {
-            // Invoke through a copy: the handler may close the session,
-            // which clears on_message — the copy keeps the executing
-            // lambda (and anything it captured) alive.
-            auto handler = on_message;
-            // Deliver under the remote sender's span from the wire (a
-            // reordered frame would otherwise inherit the wrong flight
-            // span from the channel's receive path).
-            obs::Trace::Scope causal(journal(), arrival.trace);
-            handler(payload);
-          }
-          if (closed) return;  // handler closed the session
-        }
+      // Acknowledge cumulatively, deliver in order exactly once. The
+      // next expected frame is delivered straight from the wire; only a
+      // frame ahead of a gap is copied and parked.
+      if (wire.seq == last_delivered + 1) {
+        deliver(wire.payload, wire.trace);
+        if (closed) return;  // handler closed the session
+      } else if (wire.seq > last_delivered) {
+        reorder.emplace(wire.seq,
+                        Arrival{Bytes(wire.payload.begin(), wire.payload.end()),
+                                wire.trace});
       }
-      SessionWire ack;
-      ack.op = SessionOp::ack;
-      ack.session = id;
-      ack.seq = last_delivered;
-      send_wire(ack);
+      while (!reorder.empty() && reorder.begin()->first == last_delivered + 1) {
+        const Arrival arrival = std::move(reorder.begin()->second);
+        reorder.erase(reorder.begin());
+        deliver(arrival.payload, arrival.trace);
+        if (closed) return;
+      }
+      send_wire({SessionOp::ack, id, last_delivered, 0, {}});
       break;
     }
     case SessionOp::ack:
-      while (!unacked.empty() && unacked.front().seq <= wire.seq) {
-        unacked.pop_front();
-      }
+      drop_acked(wire.seq);
       break;
     case SessionOp::close:
       finish(Error{Errc::ok});
@@ -167,26 +143,18 @@ void SessionState::handle_wire(const SessionWire& wire) {
 }
 
 void SessionState::retransmit_from(std::uint32_t peer_last_delivered) {
-  while (!unacked.empty() && unacked.front().seq <= peer_last_delivered) {
-    unacked.pop_front();
-  }
-  for (const auto& entry : unacked) {
-    SessionWire wire;
-    wire.op = SessionOp::data;
-    wire.session = id;
-    wire.seq = entry.seq;
-    wire.trace = entry.trace;
-    wire.payload = entry.payload;
-    send_wire(wire);
+  drop_acked(peer_last_delivered);
+  for (std::size_t i = 0; i < unacked.size(); ++i) {
+    // Indexed: a send that breaks the channel can re-enter the session.
+    const Outstanding& entry = unacked[i];
+    send_wire({proto::SessionOp::data, id, entry.seq, entry.trace,
+               entry.payload});
   }
 }
 
 void SessionState::graceful_close() {
   if (closed) return;
-  SessionWire wire;
-  wire.op = SessionOp::close;
-  wire.session = id;
-  send_wire(wire);
+  send_wire({proto::SessionOp::close, id, 0, 0, {}});
   closed = true;
   journal().end_span(resume_span, scheduler().now());
   resume_span = 0;
@@ -344,12 +312,9 @@ void SessionState::resume_sweep() {
           return;
         }
         self->attach_channel(*result);
-        SessionWire resume;
-        resume.op = SessionOp::resume;
-        resume.session = self->id;
-        resume.seq = self->last_delivered;
         obs::Trace::Scope causal(self->journal(), self->resume_span);
-        self->send_wire(resume);
+        self->send_wire({proto::SessionOp::resume, self->id,
+                         self->last_delivered, 0, {}});
         // established flips when resume_ack arrives.
       });
 }

@@ -3,42 +3,20 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "obs/trace.hpp"
 #include "peerhood/connection.hpp"
 #include "peerhood/daemon.hpp"
 #include "peerhood/types.hpp"
+#include "proto/session.hpp"
 #include "transport/transport.hpp"
 #include "util/bytes.hpp"
 
 namespace ph::peerhood::detail {
-
-/// Session wire-message types (one byte on the wire).
-enum class SessionOp : std::uint8_t {
-  hello = 1,       ///< opens a new session (client -> server)
-  resume = 2,      ///< reattaches after a break; seq = client's last delivered
-  resume_ack = 3,  ///< server accepts resume; seq = server's last delivered
-  data = 4,
-  ack = 5,         ///< cumulative acknowledgement
-  close = 6,       ///< graceful end
-};
-
-struct SessionWire {
-  SessionOp op = SessionOp::data;
-  std::uint64_t session = 0;
-  std::uint32_t seq = 0;
-  /// Trace context captured when the payload was first sent; retransmits
-  /// carry the original so delivery keeps its causal tie after handover.
-  std::uint64_t trace = 0;
-  Bytes payload;
-};
-
-Bytes encode(const SessionWire& wire);
-Result<SessionWire> decode_session_wire(BytesView data);
 
 struct SessionState : std::enable_shared_from_this<SessionState> {
   Daemon* daemon = nullptr;  // local daemon: plugins, scheduler access
@@ -66,14 +44,21 @@ struct SessionState : std::enable_shared_from_this<SessionState> {
     Bytes payload;
     std::uint64_t trace = 0;  ///< sender context at first transmission
   };
-  std::deque<Outstanding> unacked;
+  /// Sent but unacknowledged payloads, oldest first: the only owned copy
+  /// of a sent payload (frames are encoded from it, first send and
+  /// retransmits alike).
+  std::vector<Outstanding> unacked;
   struct Arrival {
     Bytes payload;
     std::uint64_t trace = 0;  ///< remote sender's span, from the wire
   };
-  std::map<std::uint32_t, Arrival> reorder;  // out-of-order arrivals
+  /// Frames that arrived ahead of a gap; in-order frames never land here.
+  std::map<std::uint32_t, Arrival> reorder;
 
-  std::function<void(BytesView)> on_message;
+  using MessageHandler = std::function<void(BytesView)>;
+  /// Shared so a delivery holds the handler it runs (the handler may close
+  /// the session, which releases it) without copying the std::function.
+  std::shared_ptr<const MessageHandler> on_message;
   std::function<void(const Error&)> on_close;
   /// Server-side hook: endpoint bookkeeping removes the session on end.
   std::function<void(std::uint64_t)> on_ended;
@@ -90,9 +75,15 @@ struct SessionState : std::enable_shared_from_this<SessionState> {
   // --- lifecycle ---------------------------------------------------------
   /// Installs receive/break handlers on `new_channel` and makes it current.
   void attach_channel(transport::Channel new_channel);
-  void handle_wire(const SessionWire& wire);
-  void send_payload(Bytes payload);
-  void send_wire(const SessionWire& wire);
+  void handle_wire(const proto::SessionWire& wire);
+  void send_payload(BytesView payload);
+  /// Encodes `wire` into the daemon's writer and sends it on the current
+  /// channel; dropped while the channel is down (resume retransmits).
+  void send_wire(const proto::SessionWire& wire);
+  /// Hands one in-order payload to the application.
+  void deliver(BytesView payload, std::uint64_t trace);
+  /// Drops unacked entries the peer has delivered (seq <= `delivered`).
+  void drop_acked(std::uint32_t delivered);
   void graceful_close();
   void fail(Error error);
   void finish(const Error& reason);

@@ -85,30 +85,37 @@ Result<std::uint64_t> Reader::u64() {
 }
 
 Result<std::string> Reader::str() {
-  auto len = u32();
-  if (!len) return len.error();
-  if (auto r = need(*len); !r) return r.error();
-  std::string out(reinterpret_cast<const char*>(data_.data() + pos_), *len);
-  pos_ += *len;
-  return out;
+  auto view = str_view();
+  if (!view) return view.error();
+  return std::string(*view);
+}
+
+Result<std::string_view> Reader::str_view() {
+  auto view = bytes_view();
+  if (!view) return view.error();
+  return std::string_view(reinterpret_cast<const char*>(view->data()),
+                          view->size());
 }
 
 Result<Bytes> Reader::bytes() {
+  auto view = bytes_view();
+  if (!view) return view.error();
+  return Bytes(view->begin(), view->end());
+}
+
+Result<BytesView> Reader::bytes_view() {
   auto len = u32();
   if (!len) return len.error();
   if (auto r = need(*len); !r) return r.error();
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + *len));
+  const BytesView out = data_.subspan(pos_, *len);
   pos_ += *len;
   return out;
 }
 
 Result<std::uint32_t> Reader::skip_bytes() {
-  auto len = u32();
-  if (!len) return len.error();
-  if (auto r = need(*len); !r) return r.error();
-  pos_ += *len;
-  return *len;
+  auto view = bytes_view();
+  if (!view) return view.error();
+  return static_cast<std::uint32_t>(view->size());
 }
 
 Result<std::vector<std::string>> Reader::str_list() {

@@ -47,7 +47,12 @@ class Reader {
   Result<std::uint32_t> u32();
   Result<std::uint64_t> u64();
   Result<std::string> str();
+  /// str() without the copy: the view borrows from the input, so it is
+  /// valid only while the bytes being read are.
+  Result<std::string_view> str_view();
   Result<Bytes> bytes();
+  /// bytes() without the copy; borrows from the input like str_view().
+  Result<BytesView> bytes_view();
   /// Steps over a length-prefixed byte string without copying it; returns
   /// its length. Errc::protocol_error if the length runs past the end.
   Result<std::uint32_t> skip_bytes();

@@ -1,8 +1,61 @@
 #include "proto/daemon.hpp"
 
 #include "proto/codec.hpp"
+#include "util/check.hpp"
 
 namespace ph::proto {
+
+namespace {
+
+// Header layout: op (u8), token (u32), trace_parent (u64), device name.
+constexpr std::size_t kTokenAt = 1;
+constexpr std::size_t kTraceAt = kTokenAt + 4;
+constexpr std::size_t kHeaderFixed = kTraceAt + 8;
+
+/// Reads a service list; with `out` null it only validates and skips it.
+Result<void> read_services(Reader& r, std::vector<ServiceInfoData>* out) {
+  auto n_services = r.u32();
+  if (!n_services) return n_services.error();
+  if (*n_services > r.remaining() / 4) {
+    return Error{Errc::protocol_error, "implausible service count"};
+  }
+  if (out != nullptr) out->reserve(*n_services);
+  for (std::uint32_t i = 0; i < *n_services; ++i) {
+    auto name = r.str_view();
+    if (!name) return name.error();
+    auto port = r.u16();
+    if (!port) return port.error();
+    auto n_attrs = r.u32();
+    if (!n_attrs) return n_attrs.error();
+    if (*n_attrs > r.remaining() / 8) {
+      return Error{Errc::protocol_error, "implausible attribute count"};
+    }
+    ServiceInfoData* service = nullptr;
+    if (out != nullptr) {
+      service = &out->emplace_back();
+      service->name = *name;
+      service->port = *port;
+    }
+    for (std::uint32_t j = 0; j < *n_attrs; ++j) {
+      auto key = r.str_view();
+      if (!key) return key.error();
+      auto value = r.str_view();
+      if (!value) return value.error();
+      if (service != nullptr) {
+        service->attributes.emplace(std::string(*key), std::string(*value));
+      }
+    }
+  }
+  return ok();
+}
+
+void put_le(std::span<std::uint8_t> out, std::uint64_t v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+}  // namespace
 
 std::string_view to_string(DaemonOp op) noexcept {
   switch (op) {
@@ -14,8 +67,7 @@ std::string_view to_string(DaemonOp op) noexcept {
   return "?";
 }
 
-Bytes encode(const DaemonMessage& message) {
-  Writer w;
+void encode(const DaemonMessage& message, Writer& w) {
   w.u8(static_cast<std::uint8_t>(message.op));
   w.u32(message.token);
   w.u64(message.trace_parent);
@@ -30,12 +82,17 @@ Bytes encode(const DaemonMessage& message) {
       w.str(value);
     }
   }
+}
+
+Bytes encode(const DaemonMessage& message) {
+  Writer w;
+  encode(message, w);
   return std::move(w).take();
 }
 
-Result<DaemonMessage> decode_daemon_message(BytesView data) {
+Result<DaemonMessageView> decode_daemon_view(BytesView data) {
   Reader r(data);
-  DaemonMessage m;
+  DaemonMessageView m;
   auto op = r.u8();
   if (!op) return op.error();
   if (*op < 1 || *op > static_cast<std::uint8_t>(DaemonOp::pong)) {
@@ -48,37 +105,37 @@ Result<DaemonMessage> decode_daemon_message(BytesView data) {
   auto trace_parent = r.u64();
   if (!trace_parent) return trace_parent.error();
   m.trace_parent = *trace_parent;
-  auto name = r.str();
+  auto name = r.str_view();
   if (!name) return name.error();
-  m.device_name = std::move(*name);
-  auto n_services = r.u32();
-  if (!n_services) return n_services.error();
-  if (*n_services > r.remaining() / 4) {
-    return Error{Errc::protocol_error, "implausible service count"};
-  }
-  for (std::uint32_t i = 0; i < *n_services; ++i) {
-    ServiceInfoData service;
-    auto service_name = r.str();
-    if (!service_name) return service_name.error();
-    service.name = std::move(*service_name);
-    auto port = r.u16();
-    if (!port) return port.error();
-    service.port = *port;
-    auto n_attrs = r.u32();
-    if (!n_attrs) return n_attrs.error();
-    if (*n_attrs > r.remaining() / 8) {
-      return Error{Errc::protocol_error, "implausible attribute count"};
-    }
-    for (std::uint32_t j = 0; j < *n_attrs; ++j) {
-      auto key = r.str();
-      if (!key) return key.error();
-      auto value = r.str();
-      if (!value) return value.error();
-      service.attributes.emplace(std::move(*key), std::move(*value));
-    }
-    m.services.push_back(std::move(service));
-  }
+  m.device_name = *name;
+  const std::size_t services_at = data.size() - r.remaining();
+  if (auto valid = read_services(r, nullptr); !valid) return valid.error();
+  m.services = data.subspan(services_at, data.size() - services_at -
+                                             r.remaining());
   return m;
+}
+
+Result<std::vector<ServiceInfoData>> decode_services(BytesView services) {
+  Reader r(services);
+  std::vector<ServiceInfoData> out;
+  if (auto read = read_services(r, &out); !read) return read.error();
+  return out;
+}
+
+Result<DaemonMessage> decode_daemon_message(BytesView data) {
+  auto view = decode_daemon_view(data);
+  if (!view) return view.error();
+  auto services = decode_services(view->services);
+  if (!services) return services.error();
+  return DaemonMessage{view->op, view->token, view->trace_parent,
+                       std::string(view->device_name), std::move(*services)};
+}
+
+void patch_daemon_header(std::span<std::uint8_t> encoded, std::uint32_t token,
+                         std::uint64_t trace_parent) {
+  PH_CHECK_MSG(encoded.size() >= kHeaderFixed, "not a daemon message");
+  put_le(encoded.subspan(kTokenAt), token, 4);
+  put_le(encoded.subspan(kTraceAt), trace_parent, 8);
 }
 
 }  // namespace ph::proto

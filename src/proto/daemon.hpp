@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -49,7 +51,36 @@ struct DaemonMessage {
   friend bool operator==(const DaemonMessage&, const DaemonMessage&) = default;
 };
 
+class Writer;
+
+/// Appends the wire image of `message` to `out`.
+void encode(const DaemonMessage& message, Writer& out);
 Bytes encode(const DaemonMessage& message);
 Result<DaemonMessage> decode_daemon_message(BytesView data);
+
+/// A daemon datagram decoded without copying: the strings and the service
+/// list borrow from the frame, so a view is valid only while that frame is
+/// (inside the datagram handler that received it).
+struct DaemonMessageView {
+  DaemonOp op = DaemonOp::ping;
+  std::uint32_t token = 0;
+  std::uint64_t trace_parent = 0;
+  std::string_view device_name;
+  /// The encoded service list (count, then entries), already validated.
+  /// Equal bytes mean equal lists; decode_services() materializes it.
+  BytesView services;
+};
+
+/// Validates the whole message (the same checks as
+/// decode_daemon_message) and returns a view over `data`.
+Result<DaemonMessageView> decode_daemon_view(BytesView data);
+/// Decodes a DaemonMessageView::services section.
+Result<std::vector<ServiceInfoData>> decode_services(BytesView services);
+
+/// Rewrites the token and trace_parent of an encoded daemon message in
+/// place, so a sender can keep a message encoded and re-stamp it per
+/// exchange. `encoded` must hold a whole message.
+void patch_daemon_header(std::span<std::uint8_t> encoded, std::uint32_t token,
+                         std::uint64_t trace_parent);
 
 }  // namespace ph::proto

@@ -140,8 +140,7 @@ Result<Opcode> get_opcode(Reader& r) {
 
 }  // namespace
 
-Bytes encode(const Request& request) {
-  Writer w;
+void encode(const Request& request, Writer& w) {
   w.u8(static_cast<std::uint8_t>(request.op));
   w.u64(request.trace_parent);
   w.str(request.requester);
@@ -150,6 +149,11 @@ Bytes encode(const Request& request) {
   put(w, request.mail);
   w.u64(request.offset);
   w.u64(request.length);
+}
+
+Bytes encode(const Request& request) {
+  Writer w;
+  encode(request, w);
   return std::move(w).take();
 }
 
@@ -183,8 +187,7 @@ Result<Request> decode_request(BytesView data) {
   return req;
 }
 
-Bytes encode(const Response& response) {
-  Writer w;
+void encode(const Response& response, Writer& w) {
   w.u8(static_cast<std::uint8_t>(response.op));
   w.u8(static_cast<std::uint8_t>(response.status));
   w.str_list(response.names);
@@ -196,6 +199,11 @@ Bytes encode(const Response& response) {
   }
   w.bytes(response.content);
   w.u64(response.content_total);
+}
+
+Bytes encode(const Response& response) {
+  Writer w;
+  encode(response, w);
   return std::move(w).take();
 }
 

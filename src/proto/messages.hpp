@@ -131,6 +131,10 @@ struct Response {
   friend bool operator==(const Response&, const Response&) = default;
 };
 
+/// Append the wire image to `out`: a sender that keeps one Writer across
+/// messages encodes without allocating once it has seen the largest.
+void encode(const Request& request, Writer& out);
+void encode(const Response& response, Writer& out);
 Bytes encode(const Request& request);
 Bytes encode(const Response& response);
 Result<Request> decode_request(BytesView data);

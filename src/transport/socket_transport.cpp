@@ -206,7 +206,7 @@ class SocketTransport::SocketChannelState final
   DeviceId chan_remote() const override { return remote_; }
   net::Technology chan_technology() const override { return tech_; }
   void chan_on_receive(std::function<void(BytesView)> handler) override {
-    on_receive_ = std::move(handler);
+    on_receive_ = std::make_shared<const ReceiveHandler>(std::move(handler));
     // Frames may already be buffered (handshake leftover, or data that
     // arrived before the handler was installed) — drain them now that
     // someone can receive. Deferred so attaching a handler mid-dispatch
@@ -261,7 +261,10 @@ class SocketTransport::SocketChannelState final
   proto::FrameStream in_;
   proto::Writer out_;          // frames are written here once, then sent
   std::size_t out_pos_ = 0;
-  std::function<void(BytesView)> on_receive_;
+  using ReceiveHandler = std::function<void(BytesView)>;
+  /// Shared so a delivery holds the handler it runs (the handler may
+  /// replace it, session handshake → attach_channel) without copying it.
+  std::shared_ptr<const ReceiveHandler> on_receive_;
   std::function<void()> on_break_;
 };
 
@@ -397,7 +400,8 @@ void SocketTransport::SocketChannelState::deliver_frames() {
       }
       continue;
     }
-    if (frame.kind == proto::FrameKind::channel_data && !on_receive_) {
+    if (frame.kind == proto::FrameKind::channel_data &&
+        !(on_receive_ && *on_receive_)) {
       stalled = true;  // keep buffered until a handler is installed
       break;
     }
@@ -407,17 +411,17 @@ void SocketTransport::SocketChannelState::deliver_frames() {
       continue;
     }
     transport_.metrics_.channel_bytes->inc(frame.payload.size());
-    // Invoke a copy: the handler may replace on_receive_ from inside the
-    // call (session handshake → attach_channel), which would otherwise
-    // destroy the lambda mid-execution.
-    auto handler = on_receive_;
-    handler(frame.payload);
+    // Hold the handler: it may replace on_receive_ from inside the call
+    // (session handshake → attach_channel), which would otherwise destroy
+    // the lambda mid-execution.
+    const std::shared_ptr<const ReceiveHandler> handler = on_receive_;
+    (*handler)(frame.payload);
   }
   if (open_ && peer_gone_ && !stalled) do_break();
 }
 
 void SocketTransport::SocketChannelState::schedule_drain() {
-  if (!open_ || drain_pending_ || !on_receive_) return;
+  if (!open_ || drain_pending_ || !(on_receive_ && *on_receive_)) return;
   if (in_.buffered() == 0 && !peer_gone_) return;
   drain_pending_ = true;
   auto self = shared_from_this();
@@ -490,7 +494,8 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
 
   void start_inquiry(InquiryHandler done) override;
   void bind(net::Port port, DatagramHandler handler) override {
-    dgram_handlers_[port] = std::move(handler);
+    dgram_handlers_[port] =
+        std::make_shared<const DatagramHandler>(std::move(handler));
   }
   void unbind(net::Port port) override { dgram_handlers_.erase(port); }
   void send_datagram(DeviceId dst, net::Port port, BytesView payload) override;
@@ -565,7 +570,9 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   bool powered_ = true;
   int dgram_fd_ = -1;
   int listen_fd_ = -1;
-  std::map<net::Port, DatagramHandler> dgram_handlers_;
+  /// Shared so a delivery holds the handler it runs (it may rebind its
+  /// own port) without copying the std::function.
+  std::map<net::Port, std::shared_ptr<const DatagramHandler>> dgram_handlers_;
   std::map<net::Port, AcceptHandler> listeners_;
   std::map<int, PendingConn> pending_conns_;
   std::map<int, Handshake> pending_accepts_;
@@ -653,9 +660,9 @@ void SocketTransport::SocketEndpoint::handle_dgram_readable() {
     t_.metrics_.datagrams_received->inc();
     auto it = dgram_handlers_.find(*port);
     if (it == dgram_handlers_.end()) continue;
-    // Copy the handler: it may rebind (or unbind) this very port.
-    DatagramHandler handler = it->second;
-    handler(*src, frame->payload.subspan(6));
+    // Hold the handler: it may rebind (or unbind) this very port.
+    const std::shared_ptr<const DatagramHandler> handler = it->second;
+    (*handler)(*src, frame->payload.subspan(6));
   }
 }
 
@@ -1005,7 +1012,8 @@ void SocketTransport::watch_fd(int fd, std::uint32_t events,
   ev.data.u64 = token;
   PH_CHECK_MSG(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0,
                "epoll_ctl(ADD) failed");
-  watch_handlers_[token] = std::move(handler);
+  watch_handlers_[token] =
+      std::make_shared<const WatchHandler>(std::move(handler));
   fd_tokens_[fd] = token;
 }
 
@@ -1050,11 +1058,12 @@ void SocketTransport::pump_epoll(int timeout_ms) {
     // retired token makes the stale event drop instead of misrouting.
     auto it = watch_handlers_.find(events[i].data.u64);
     if (it == watch_handlers_.end()) continue;
-    auto handler = it->second;  // copy — the handler may erase itself
+    // Held, not copied: the handler may erase itself.
+    const std::shared_ptr<const WatchHandler> handler = it->second;
     const std::uint64_t t0 = wall_clock_.now();
     {
       const obs::prof::Scope io(obs::prof::Center::transport_io);
-      handler(events[i].events);
+      (*handler)(events[i].events);
     }
     h_loop_dispatch_->observe(static_cast<double>(wall_clock_.now() - t0));
   }

@@ -153,7 +153,9 @@ class SocketTransport final : public Transport {
   /// event must not reach the new fd's handler. fd_tokens_ maps live fds
   /// back to their token for rearm_fd/unwatch_fd.
   std::uint64_t next_watch_token_ = 1;
-  std::map<std::uint64_t, std::function<void(std::uint32_t)>> watch_handlers_;
+  using WatchHandler = std::function<void(std::uint32_t)>;
+  /// Shared so a dispatch holds the handler it runs without copying it.
+  std::map<std::uint64_t, std::shared_ptr<const WatchHandler>> watch_handlers_;
   std::map<int, std::uint64_t> fd_tokens_;
 
   obs::Registry registry_;

@@ -132,6 +132,8 @@ class Channel {
   void on_break(std::function<void()> handler);
 
   /// Queues a message to the peer; silently discarded if no longer open.
+  /// The payload is copied before send returns or calls out, so callers
+  /// may encode into a reused buffer.
   void send(BytesView payload);
 
   /// Current signal strength towards the peer in [0,1]; real substrates
@@ -181,12 +183,14 @@ class Endpoint {
   virtual void start_inquiry(InquiryHandler done) = 0;
 
   /// Binds a handler for datagrams addressed to `port` (one per port;
-  /// rebinding replaces it).
+  /// rebinding replaces it). The payload handed to the handler is valid
+  /// only for the call.
   virtual void bind(net::Port port, DatagramHandler handler) = 0;
   virtual void unbind(net::Port port) = 0;
 
   /// Fire-and-forget message; lost frames are dropped (callers requiring
-  /// reliability retry with their own timeout, as the daemon does).
+  /// reliability retry with their own timeout, as the daemon does). Like
+  /// Channel::send, copies the payload before it returns or calls out.
   virtual void send_datagram(DeviceId dst, net::Port port,
                              BytesView payload) = 0;
 

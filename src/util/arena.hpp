@@ -14,6 +14,7 @@
 // recycled blocks — the exact bug class manual pooling usually hides.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -192,6 +193,10 @@ class PooledBuffer {
 /// poisoned in the free list.
 class BufferPool {
  public:
+  /// Smallest capacity a pooled buffer is given: daemon datagrams, session
+  /// control frames and community RPCs all fit.
+  static constexpr std::size_t kMinCapacity = 256;
+
   BufferPool() : core_(std::make_shared<PooledBuffer::Core>()) {}
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -243,6 +248,9 @@ inline PooledBuffer BufferPool::acquire(const std::uint8_t* data,
   } else {
     ++core_->fresh;
   }
+  // Every buffer holds at least a control-sized frame, so a recycled
+  // buffer that last carried a ping does not regrow for the next reply.
+  if (buf.capacity() < size) buf.reserve(std::max(size, kMinCapacity));
   buf.assign(data, data + size);  // assign, not resize: no zero-fill pass
   return PooledBuffer(core_, std::move(buf));
 }

@@ -322,6 +322,30 @@ TEST_F(DaemonTest, UnmonitorStopsCallbacks) {
   EXPECT_EQ(events, 0);
 }
 
+// A notify calls the monitors registered when it began: one registered by
+// a handler waits for the next event, and one unregistered by a handler
+// (even the running one) still gets the event in progress, then no more.
+TEST_F(DaemonTest, MonitorsChangedDuringNotifyKeepSnapshotSemantics) {
+  Stack& a = add_device("a", {0, 0});
+  add_device("b", {3, 0});
+  add_device("c", {0, 3});
+  int total = 0, first = 0, removed = 0, added = 0;
+  Daemon::MonitorId first_id = 0, removed_id = 0;
+  a.daemon().monitor_all([&](const NeighbourEvent&) { ++total; });
+  first_id = a.daemon().monitor_all([&](const NeighbourEvent&) {
+    ++first;
+    a.daemon().unmonitor(first_id);  // itself, while running
+    a.daemon().unmonitor(removed_id);
+    a.daemon().monitor_all([&](const NeighbourEvent&) { ++added; });
+  });
+  removed_id = a.daemon().monitor_all([&](const NeighbourEvent&) { ++removed; });
+  simulator_.run_until(sim::seconds(20));
+  ASSERT_GE(total, 2);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(removed, 1);
+  EXPECT_EQ(added, total - 1);
+}
+
 TEST_F(DaemonTest, DeviceLookupFailsForUnknown) {
   Stack& a = add_device("a", {0, 0});
   auto result = a.daemon().device(999);

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "proto/daemon.hpp"
 #include "proto/frame.hpp"
 #include "proto/messages.hpp"
+#include "proto/session.hpp"
 #include "sim/rng.hpp"
 #include "sns/protocol.hpp"
 
@@ -91,6 +93,51 @@ TEST_P(FuzzTest, MutatedDaemonMessagesNeverCrash) {
     if (rng.chance(0.3)) mutated.resize(rng.uniform_int(0, mutated.size()));
     auto decoded = decode_daemon_message(mutated);
     if (decoded.ok()) (void)encode(*decoded);
+    // The view decoder accepts exactly what the owning one does, and its
+    // service section decodes to the same list.
+    auto view = decode_daemon_view(mutated);
+    ASSERT_EQ(view.ok(), decoded.ok());
+    if (view.ok()) {
+      EXPECT_EQ(view->device_name, decoded->device_name);
+      auto services = decode_services(view->services);
+      ASSERT_TRUE(services.ok());
+      EXPECT_EQ(*services, decoded->services);
+    }
+  }
+}
+
+// Session frames of every op, mutated: a frame that parses must lie
+// inside the input (the payload is a view into it) and re-encode to the
+// bytes it was parsed from.
+TEST_P(FuzzTest, MutatedSessionFramesNeverCrash) {
+  sim::Rng rng(GetParam() * 31 + 7);
+  const Bytes payload(40, 0x3c);
+  for (int round = 0; round < 500; ++round) {
+    SessionWire wire;
+    wire.op = static_cast<SessionOp>(rng.uniform_int(1, 6));
+    wire.session = rng.uniform_int(0, UINT64_MAX);
+    wire.seq = static_cast<std::uint32_t>(rng.uniform_int(0, 1000));
+    wire.trace = rng.uniform_int(0, 3);
+    if (wire.op == SessionOp::data) wire.payload = payload;
+    Bytes mutated = encode(wire);
+    const int flips = 1 + static_cast<int>(rng.uniform_int(0, 3));
+    for (int i = 0; i < flips; ++i) {
+      // Every other flip lands in the payload length prefix (bytes
+      // 21..24), where a uniform flip would rarely go.
+      const std::size_t at = i % 2 == 0 ? 21 + rng.uniform_int(0, 3)
+                                        : rng.uniform_int(0, mutated.size() - 1);
+      mutated[at] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+    }
+    if (rng.chance(0.3)) mutated.resize(rng.uniform_int(0, mutated.size()));
+    auto decoded = decode_session_wire(mutated);
+    if (!decoded.ok()) continue;
+    const BytesView in(mutated);
+    ASSERT_GE(decoded->payload.data(), in.data());
+    ASSERT_LE(decoded->payload.data() + decoded->payload.size(),
+              in.data() + in.size());
+    const Bytes again = encode(*decoded);
+    ASSERT_LE(again.size(), mutated.size());
+    EXPECT_TRUE(std::equal(again.begin(), again.end(), mutated.begin()));
   }
 }
 
@@ -209,6 +256,8 @@ TEST_P(FuzzTest, RandomByteSoupNeverCrashes) {
     (void)decode_request(soup);
     (void)decode_response(soup);
     (void)decode_daemon_message(soup);
+    (void)decode_daemon_view(soup);
+    (void)decode_session_wire(soup);
     (void)sns::decode_page_request(soup);
     (void)sns::decode_page_response(soup);
   }

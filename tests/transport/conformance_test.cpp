@@ -424,6 +424,79 @@ TEST_P(TransportConformance, SessionResumesAfterRadioDrop) {
   pump_until([&] { return !beta_side.open(); }, sim::seconds(5));
 }
 
+// A delivered payload views the received frame. The contract: it stays
+// valid for the whole handler call, even when the handler closes its own
+// connection and sends the very bytes it was handed on another one.
+TEST_P(TransportConformance, HandlerClosesItsConnectionAndSendsOnAnother) {
+  using peerhood::Connection;
+  using peerhood::Stack;
+  using peerhood::StackConfig;
+
+  peerhood::DaemonConfig daemon_config;
+  daemon_config.inquiry_interval = sim::seconds(1);
+  daemon_config.ping_interval = sim::milliseconds(500);
+  daemon_config.reply_timeout = sim::milliseconds(200);
+  Stack alpha(StackConfig{}
+                  .with_name("alpha")
+                  .with_radios({quick_bt()})
+                  .with_daemon(daemon_config)
+                  .with_transport(*transport_));
+  Stack beta(StackConfig{}
+                 .with_name("beta")
+                 .with_radios({quick_bt()})
+                 .with_daemon(daemon_config)
+                 .with_transport(*transport_));
+
+  // beta echoes every message back on the connection it came in on.
+  std::vector<std::shared_ptr<Connection>> held;
+  ASSERT_TRUE(bool(beta.library().register_service(
+      "echo", {}, [&](Connection connection) {
+        auto conn = std::make_shared<Connection>(connection);
+        held.push_back(conn);
+        conn->on_message([conn](BytesView payload) { conn->send(payload); });
+      })));
+  ASSERT_TRUE(pump_until(
+      [&] { return !alpha.library().find_service("echo").empty(); },
+      sim::seconds(30)));
+
+  Connection first, second;
+  const auto open = [&](Connection& into) {
+    alpha.library().connect(beta.id(), "echo", {},
+                            [&](Result<Connection> result) {
+                              ASSERT_TRUE(bool(result))
+                                  << result.error().to_string();
+                              into = *result;
+                            });
+  };
+  open(first);
+  open(second);
+  ASSERT_TRUE(pump_until([&] { return first.valid() && second.valid(); },
+                         sim::seconds(10)));
+
+  std::vector<std::string> on_first, on_second;
+  first.on_message([&](BytesView payload) {
+    first.close();  // releases this very handler
+    on_first.push_back(to_text(payload));
+    second.send(payload);  // the view must still hold the frame
+    on_first.push_back(to_text(payload));
+  });
+  second.on_message(
+      [&](BytesView payload) { on_second.push_back(to_text(payload)); });
+  first.send(to_bytes("relay me"));
+  ASSERT_TRUE(
+      pump_until([&] { return !on_second.empty(); }, sim::seconds(10)));
+  EXPECT_EQ(on_first,
+            (std::vector<std::string>{"relay me", "relay me"}));
+  EXPECT_EQ(on_second, std::vector<std::string>{"relay me"});
+  EXPECT_FALSE(first.open());
+  EXPECT_TRUE(second.open());
+
+  second.close();
+  pump_until([&] { return held.size() == 2 && !held[1]->open(); },
+             sim::seconds(5));
+  for (auto& conn : held) conn->close();  // break the echo handlers' cycles
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, TransportConformance, ::testing::Values("sim", "socket"),
     [](const auto& info) { return std::string(info.param); });
