@@ -25,7 +25,6 @@
 // breach windows are printed so they can be eyeballed against the fault
 // schedule. PH_SERIES_JSON dumps the raw series; PH_BENCH_JSON emits the
 // BENCH report the ph_bench_regression gate diffs against its baseline.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -82,15 +81,11 @@ int main() {
   // PH_PROF: 0 = profiling off, 1 (default) = Mode 1 deterministic event
   // attribution (prof.<center>.events counters — inside the byte-identity
   // gate), 2 = Mode 1 + wall-cost histograms + slow-event watchdog +
-  // Mode 2 sampling profiler. PH_PROF_WALL=1 arms the wall plane without
-  // the sampler; PH_PROF_BUDGET_US tunes the watchdog (default 50 ms).
+  // Mode 2 sampling profiler. PH_PROF_BUDGET_US tunes the watchdog
+  // (default 50 ms).
   int prof_mode = 1;
   if (const char* env = std::getenv("PH_PROF"); env != nullptr) {
     prof_mode = std::atoi(env);
-  }
-  bool prof_wall = prof_mode >= 2;
-  if (const char* env = std::getenv("PH_PROF_WALL"); env != nullptr) {
-    if (std::atoi(env) > 0) prof_wall = true;
   }
 
   ph::sim::Simulator simulator;
@@ -113,7 +108,7 @@ int main() {
   ph::obs::prof::WallProfiler wall_sampler;
   if (prof_mode > 0) {
     simulator.set_profiler(&prof);
-    if (prof_wall) {
+    if (prof_mode >= 2) {
       prof.enable_wall();
       if (const char* env = std::getenv("PH_PROF_BUDGET_US");
           env != nullptr && std::atoll(env) > 0) {
@@ -347,12 +342,7 @@ int main() {
   }
 
   // Soak, then a quiet tail so the last windows' recoveries complete.
-  const auto wall_start = std::chrono::steady_clock::now();
   simulator.run_for(horizon + ph::sim::minutes(2));
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
 
   if (prof_mode >= 2) {
     wall_sampler.stop();
@@ -378,7 +368,7 @@ int main() {
                     static_cast<unsigned long long>(cost.events));
       }
     }
-    if (prof_wall) {
+    if (prof_mode >= 2) {
       std::printf("  slow events over %.1f ms budget: %llu\n",
                   static_cast<double>(prof.slow_budget_us()) / 1e3,
                   static_cast<unsigned long long>(prof.slow_events()));
@@ -439,14 +429,6 @@ int main() {
   report.info = {
       {"samples_taken", static_cast<double>(sampler.samples_taken())},
       {"series", static_cast<double>(sampler.series().size())},
-      // Wall-clock throughput of the whole soak (machine-dependent: info,
-      // never gated). `wall_clock_improvement` in ph_bench_compare reads
-      // the *_per_sec / *_wall_s pairs advisorily.
-      {"soak_wall_s", wall_s},
-      {"soak_events_per_sec",
-       wall_s > 0
-           ? static_cast<double>(simulator.events_executed()) / wall_s
-           : 0.0},
   };
   // The sampler is deliberately NOT embedded: the report is the compact
   // trajectory record the regression gate commits as a baseline; the full
@@ -457,10 +439,10 @@ int main() {
   // ring rides along in the JSON's spans/events sections, the sampled
   // series and SLO windows in their own sections). The deterministic
   // prof.<center>.events counters publish INTO the compared dump; wall
-  // histograms only when the wall plane was explicitly armed.
+  // histograms only when PH_PROF=2 armed the wall plane.
   if (prof_mode > 0) {
     prof.publish_events(metrics);
-    if (prof_wall) prof.publish_wall(metrics);
+    if (prof_mode >= 2) prof.publish_wall(metrics);
   }
   ph::obs::dump_if_requested(metrics, &medium.trace(),
                              medium.trace_device_names(),

@@ -5,10 +5,9 @@
 //
 // Set PH_METRICS_JSON=/path/out.json to also dump a
 // `sim.kernel.*` snapshot — one deterministic run of the schedule/run and
-// cancel workloads with event counts and wall-clock throughput — at exit.
+// cancel workloads with their event counts — at exit.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <random>
@@ -283,29 +282,20 @@ void BM_DecodeDaemonMessage(benchmark::State& state) {
 BENCHMARK(BM_DecodeDaemonMessage);
 
 // Records one deterministic pass of the kernel workloads into `metrics`.
-// The schedule/run workload's event count is deterministic (headline);
-// its wall-clock throughput shows up as `events_per_sec` (info). The
-// cancel workload documents lazy cancellation: O(1) erase, stale entries
-// compacted away once they dominate.
+// The schedule/run workload's event count is the headline; its wall-clock
+// throughput is the google-benchmark cases' job above. The cancel workload
+// documents lazy cancellation: O(1) erase, stale entries compacted away
+// once they dominate.
 void record_kernel_metrics(obs::Registry& metrics) {
   {
     constexpr int kEvents = 100'000;
-    const auto wall_start = std::chrono::steady_clock::now();
     sim::Simulator simulator;
     for (int i = 0; i < kEvents; ++i) {
       simulator.schedule(sim::milliseconds(i % 1000), [] {});
     }
     simulator.run_all();
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
     metrics.counter("sim.kernel.schedule_run_events")
         .inc(simulator.events_executed());
-    metrics.gauge("sim.kernel.schedule_run_wall_s").set(wall_s);
-    if (wall_s > 0) {
-      metrics.gauge("sim.kernel.events_per_sec").set(kEvents / wall_s);
-    }
   }
   {
     constexpr int kEvents = 10'000;
@@ -339,8 +329,7 @@ int main(int argc, char** argv) {
   obs::Registry metrics;
   record_kernel_metrics(metrics);
 
-  // Kernel-workload report: event counts are exact (headline); wall-clock
-  // throughput depends on the machine running the gate (info only).
+  // Kernel-workload report: event counts are exact (headline).
   obs::BenchReport report;
   report.bench = "microbench";
   report.headline["schedule_run_events"] = static_cast<double>(
@@ -351,10 +340,6 @@ int main(int argc, char** argv) {
       metrics.gauge("sim.kernel.live_after_cancel").value();
   report.headline["cancel_run_events"] = static_cast<double>(
       metrics.counter("sim.kernel.cancel_run_events").value());
-  report.info["schedule_run_wall_s"] =
-      metrics.gauge("sim.kernel.schedule_run_wall_s").value();
-  report.info["events_per_sec"] =
-      metrics.gauge("sim.kernel.events_per_sec").value();
   obs::dump_bench_report_if_requested(report, &metrics);
 
   obs::dump_if_requested(metrics);

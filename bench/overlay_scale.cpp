@@ -304,8 +304,8 @@ bool parse_args(int argc, char** argv, Options& options) {
 }
 
 // One sharded-kernel crowd at a given thread count. Returns the registry
-// JSON (byte-compared across thread counts by the caller) and records
-// wall-clock + deterministic counters into the report's info section.
+// JSON (byte-compared across thread counts by the caller), its wall time
+// for the stdout table and its deterministic totals.
 struct ParallelRun {
   double wall_s = 0;
   double events_per_sec = 0;
@@ -315,7 +315,7 @@ struct ParallelRun {
 
 ParallelRun run_parallel_crowd(const Options& options, int devices,
                                unsigned threads, sim::Duration window,
-                               int prof_mode, bool prof_wall,
+                               int prof_mode,
                                obs::prof::WallProfiler* wall_sampler,
                                std::unique_ptr<net::ParallelWorld>& keep) {
   net::ParallelWorldConfig config;
@@ -330,7 +330,7 @@ ParallelRun run_parallel_crowd(const Options& options, int devices,
   // (PH_PROF=0 turns it off); the wall plane and Mode 2 sampler are
   // wall-clock and ride outside the byte-compared path.
   config.profile = prof_mode > 0;
-  config.profile_wall = prof_wall;
+  config.profile_wall = prof_mode >= 2;
   config.wall_sampler = wall_sampler;
   if (const char* sample_ms = std::getenv("PH_SAMPLE_MS")) {
     const long ms = std::atol(sample_ms);
@@ -394,7 +394,7 @@ int main(int argc, char** argv) {
               "bytes/dev/min", "signal evals", "cache hit", "sim/wall");
   obs::Registry dump;
   // Trajectory report: the per-N virtual-time metrics are seed-deterministic
-  // (headline, gated); wall-clock throughput varies by machine (info only).
+  // (headline, gated). Wall-clock throughput is printed, not reported.
   obs::BenchReport report;
   report.bench = "overlay_scale";
   report.env["seed"] = std::to_string(options.seed);
@@ -423,9 +423,6 @@ int main(int argc, char** argv) {
     report.headline[key + "spatial_pairs_pruned"] =
         static_cast<double>(m.pairs_pruned);
     report.headline[key + "position_cache_hit_rate"] = m.cache_hit_rate;
-    report.info[key + "wall_s"] = m.wall_s;
-    report.info[key + "sim_s_per_wall_s"] = m.sim_s_per_wall_s;
-    report.info[key + "events_per_sec"] = m.events_per_sec;
   }
 
   // Sharded-medium sweep: the kernel-parallel hot path at city scale.
@@ -437,10 +434,6 @@ int main(int argc, char** argv) {
   int prof_mode = 1;
   if (const char* env = std::getenv("PH_PROF"); env != nullptr) {
     prof_mode = std::atoi(env);
-  }
-  bool prof_wall = prof_mode >= 2;
-  if (const char* env = std::getenv("PH_PROF_WALL"); env != nullptr) {
-    if (std::atoi(env) > 0) prof_wall = true;
   }
   // Declared before last_world: the kept world's kernel workers unregister
   // from the sampler at teardown, so the sampler must be destroyed last.
@@ -463,11 +456,11 @@ int main(int argc, char** argv) {
       for (unsigned threads : options.threads) {
         const ParallelRun run = run_parallel_crowd(
             options, n, threads, window, prof_mode,
-            prof_wall, prof_mode >= 2 ? &wall_sampler : nullptr, last_world);
+            prof_mode >= 2 ? &wall_sampler : nullptr, last_world);
         if (reference_json.empty()) {
           reference_json = run.metrics_json;
           base_wall = run.wall_s;
-        } else if (options.ops_socket.empty() && !prof_wall &&
+        } else if (options.ops_socket.empty() && prof_mode < 2 &&
                    run.metrics_json != reference_json) {
           // (wall histograms are machine noise — the byte check only runs
           // with the wall plane off, like the ops/stall gauges above)
@@ -483,11 +476,6 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(run.totals.events),
                     run.events_per_sec, run.wall_s, speedup,
                     static_cast<unsigned long long>(run.totals.forwards));
-        const std::string key =
-            "p" + std::to_string(n) + ".t" + std::to_string(threads) + ".";
-        report.info[key + "wall_s"] = run.wall_s;
-        report.info[key + "events_per_sec"] = run.events_per_sec;
-        report.info[key + "speedup"] = speedup;
         if (threads == options.threads.front()) {
           // Deterministic per-N records (identical at every thread count,
           // so recorded once): totals and the per-shard event balance.

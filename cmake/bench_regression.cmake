@@ -26,13 +26,7 @@ foreach(var BENCH_COMPARE MICROBENCH TABLE8 OVERLAY_SCALE CHAOS_SOAK
 endforeach()
 set(TOLERANCES ${BASELINE_DIR}/tolerances.json)
 
-function(run_checked label)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE result
-                  OUTPUT_VARIABLE output ERROR_VARIABLE output)
-  if(NOT result EQUAL 0)
-    message(FATAL_ERROR "${label} failed (exit ${result}):\n${output}")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_checked.cmake)
 
 # Runs one bench (extra_args after a -- separator) with PH_BENCH_JSON plus
 # any KEY=VALUE env settings, then compares against the committed baseline.

@@ -16,13 +16,7 @@ foreach(var CHAOS_SOAK OVERLAY_SCALE JSON_CHECK WORK_DIR)
   endif()
 endforeach()
 
-function(run_checked label)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE result
-                  OUTPUT_VARIABLE output ERROR_VARIABLE output)
-  if(NOT result EQUAL 0)
-    message(FATAL_ERROR "${label} failed (exit ${result}):\n${output}")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_checked.cmake)
 
 foreach(run a b)
   set(json_${run} ${WORK_DIR}/chaos_soak_${run}.json)

@@ -16,13 +16,7 @@ foreach(var SMOKE JSON_CHECK WORK_DIR)
   endif()
 endforeach()
 
-function(run_checked label)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE result
-                  OUTPUT_VARIABLE output ERROR_VARIABLE output)
-  if(NOT result EQUAL 0)
-    message(FATAL_ERROR "${label} failed (exit ${result}):\n${output}")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_checked.cmake)
 
 set(out_dir ${WORK_DIR}/ops_scrape)
 file(REMOVE_RECURSE ${out_dir})

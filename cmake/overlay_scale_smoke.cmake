@@ -17,13 +17,7 @@ foreach(var OVERLAY_SCALE JSON_CHECK WORK_DIR)
   endif()
 endforeach()
 
-function(run_checked label)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE result
-                  OUTPUT_VARIABLE output ERROR_VARIABLE output)
-  if(NOT result EQUAL 0)
-    message(FATAL_ERROR "${label} failed (exit ${result}):\n${output}")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_checked.cmake)
 
 set(overlay_json ${WORK_DIR}/smoke_overlay_scale_metrics.json)
 file(REMOVE ${overlay_json})

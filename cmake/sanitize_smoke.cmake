@@ -20,13 +20,7 @@ set(BUILD_DIR ${SOURCE_DIR}/build-asan)
 set(SMOKE_TARGETS util_test sim_test sim_alloc_test net_test obs_test
     parallel_test proto_test transport_test)
 
-function(run_checked label)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE result
-                  OUTPUT_VARIABLE output ERROR_VARIABLE output)
-  if(NOT result EQUAL 0)
-    message(FATAL_ERROR "${label} failed (exit ${result}):\n${output}")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_checked.cmake)
 
 if(NOT EXISTS ${BUILD_DIR}/CMakeCache.txt)
   run_checked("configure(asan-ubsan)"

@@ -13,13 +13,7 @@ foreach(var TRACE_SCENARIO JSON_CHECK WORK_DIR)
   endif()
 endforeach()
 
-function(run_checked label)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE result
-                  OUTPUT_VARIABLE output ERROR_VARIABLE output)
-  if(NOT result EQUAL 0)
-    message(FATAL_ERROR "${label} failed (exit ${result}):\n${output}")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_checked.cmake)
 
 foreach(run a b)
   set(metrics_${run} ${WORK_DIR}/trace_scenario_metrics_${run}.json)

@@ -19,13 +19,7 @@ endif()
 set(BUILD_DIR ${SOURCE_DIR}/build-tsan)
 set(SMOKE_TARGETS parallel_test)
 
-function(run_checked label)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE result
-                  OUTPUT_VARIABLE output ERROR_VARIABLE output)
-  if(NOT result EQUAL 0)
-    message(FATAL_ERROR "${label} failed (exit ${result}):\n${output}")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_checked.cmake)
 
 if(NOT EXISTS ${BUILD_DIR}/CMakeCache.txt)
   run_checked("configure(tsan)"

@@ -17,6 +17,8 @@
 //       "metrics": { "<headline key>": {"rel": 0.25, "abs": 2.0}, ... } }
 //   Candidate-only headline metrics are reported but never fail the gate
 //   (new metrics need a baseline refresh, not a red build).
+//   Nothing outside "headline" is compared: "info", "metrics" and
+//   "series" are context, and wall time is perfbench's to measure.
 //
 // Perturb mode multiplies headline[KEY] by FACTOR and rewrites the report
 // — the self-test that proves the gate trips on a synthetic regression.
@@ -231,66 +233,6 @@ int main(int argc, char** argv) {
     if (base_headline->get(metric) == nullptr) {
       std::printf("%-44s (candidate-only; refresh the baseline to gate it)\n",
                   metric.c_str());
-    }
-  }
-
-  // Advisory wall-clock comparison over the reports' "info" sections:
-  // throughput keys (*_per_sec, higher is better) and duration keys
-  // (*_wall_s, lower is better) shared by both reports are summarized as
-  // `wall_clock_improvement` percentages. Machine-dependent by nature, so
-  // this NEVER gates — it exists so a perf PR's report diff shows the
-  // speedup next to the determinism-checked headline.
-  const Value* base_info = base_root.get("info");
-  const Value* cand_info = cand_root.get("info");
-  if (base_info != nullptr && base_info->is_object() && cand_info != nullptr &&
-      cand_info->is_object()) {
-    bool printed_header = false;
-    for (const auto& [metric, base_value] : *base_info->object) {
-      if (!base_value.is_number() || base_value.number == 0.0) continue;
-      const bool higher_better =
-          metric.size() > 8 &&
-          metric.compare(metric.size() - 8, 8, "_per_sec") == 0;
-      const bool lower_better =
-          metric.size() > 7 &&
-          metric.compare(metric.size() - 7, 7, "_wall_s") == 0;
-      if (!higher_better && !lower_better) continue;
-      const Value* cand_value = cand_info->get(metric);
-      if (cand_value == nullptr || !cand_value->is_number()) continue;
-      if (!printed_header) {
-        std::printf("wall_clock_improvement (advisory, never gated):\n");
-        printed_header = true;
-      }
-      const double ratio = cand_value->number / base_value.number;
-      const double improvement =
-          (higher_better ? ratio - 1.0 : 1.0 / ratio - 1.0) * 100.0;
-      std::printf("  %-42s %14.6g -> %14.6g  %+.1f%%\n", metric.c_str(),
-                  base_value.number, cand_value->number, improvement);
-    }
-
-    // Thread-scaling advisory: `*_speedup` and `*.threads` info keys from
-    // parallel-kernel sweeps (bench_overlay_scale --threads). Wall-clock
-    // derived, so — like wall_clock_improvement above — NEVER gated; the
-    // candidate column is what the report's machine measured.
-    printed_header = false;
-    for (const auto& [metric, cand_value] : *cand_info->object) {
-      const bool is_speedup =
-          metric.size() > 8 &&
-          metric.compare(metric.size() - 8, 8, ".speedup") == 0;
-      const bool is_threads =
-          metric.size() > 8 &&
-          metric.compare(metric.size() - 8, 8, ".threads") == 0;
-      if ((!is_speedup && !is_threads) || !cand_value.is_number()) continue;
-      if (!printed_header) {
-        std::printf("threads/speedup (advisory, never gated):\n");
-        printed_header = true;
-      }
-      const Value* base_value = base_info->get(metric);
-      if (base_value != nullptr && base_value->is_number()) {
-        std::printf("  %-42s %14.6g -> %14.6g\n", metric.c_str(),
-                    base_value->number, cand_value.number);
-      } else {
-        std::printf("  %-42s %31.6g\n", metric.c_str(), cand_value.number);
-      }
     }
   }
 

@@ -1,61 +1,28 @@
 #include "obs/bench_report.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 
 namespace ph::obs {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-  }
-  out += buf;
-}
+using json::append_number;
+using json::append_string;
 
 void append_number_map(std::string& out, const char* key,
                        const std::map<std::string, double>& values) {
-  append_escaped(out, key);
+  append_string(out, key);
   out += ":{";
   bool first = true;
   for (const auto& [name, value] : values) {
     if (!first) out += ',';
     first = false;
     out += "\n";
-    append_escaped(out, name);
+    append_string(out, name);
     out += ':';
     append_number(out, value);
   }
@@ -78,16 +45,16 @@ std::string to_json(const BenchReport& report, const Registry* registry,
   std::string out;
   out.reserve(4096);
   out += "{\n\"schema\":1,\n\"bench\":";
-  append_escaped(out, report.bench);
+  append_string(out, report.bench);
   out += ",\n\"env\":{";
   bool first = true;
   for (const auto& [key, value] : report.env) {
     if (!first) out += ',';
     first = false;
     out += "\n";
-    append_escaped(out, key);
+    append_string(out, key);
     out += ':';
-    append_escaped(out, value);
+    append_string(out, value);
   }
   out += "\n},\n";
   append_number_map(out, "headline", report.headline);

@@ -7,15 +7,18 @@
 //     "bench": "chaos_soak",
 //     "env":      { "seed": "42", "minutes": "3", ... },   strings
 //     "headline": { "rediscovery_p95_s": 21.4, ... },      gated numbers
-//     "info":     { "wall_s": 0.8, ... },                  context, not gated
+//     "info":     { "samples_taken": 3000, ... },          context, not gated
 //     "metrics":  { full to_json(registry) snapshot },     optional
 //     "series":   { sampler rings, see export.hpp }        optional
 //   }
 //
 // The contract with ph_bench_compare: `headline` holds only virtual-time /
 // deterministic quantities (a same-seed rerun reproduces them bit-exactly),
-// so the regression gate can use tight tolerances; wall-clock throughput
-// and anything machine-dependent goes in `info`, which the gate ignores.
+// so the regression gate can use tight tolerances. `info` is deterministic
+// too, but ungated context (sampler counts, per-shard event balance).
+// Wall-clock numbers belong in neither: wall time is measured only by
+// perfbench (perfbench/run.py, compared with tools/bench_ab.py), which
+// repeats runs and bounds their noise.
 // `env` captures the knobs that define the run — the gate refuses to
 // compare reports whose env differs, so a seed or horizon drift can never
 // masquerade as a performance change.

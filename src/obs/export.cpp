@@ -11,46 +11,12 @@ namespace ph::obs {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {  // JSON has no inf/nan
-    out += "null";
-    return;
-  }
-  char buf[32];
-  // %.17g round-trips doubles; integral values print without exponent.
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-  }
-  out += buf;
-}
+using json::append_number;
+using json::append_string;
 
 void append_field(std::string& out, const char* name, double value,
                   bool trailing_comma = true) {
-  append_escaped(out, name);
+  append_string(out, name);
   out += ':';
   append_number(out, value);
   if (trailing_comma) out += ',';
@@ -64,9 +30,9 @@ void append_series_object(std::string& out, const Sampler& sampler) {
     if (!first) out += ',';
     first = false;
     out += "\n";
-    append_escaped(out, name);
+    append_string(out, name);
     out += ":{\"kind\":";
-    append_escaped(out, to_string(series.kind()));
+    append_string(out, to_string(series.kind()));
     out += ',';
     append_field(out, "evicted", static_cast<double>(series.evicted()));
     out += "\"points\":[";
@@ -95,13 +61,13 @@ void append_slo_object(std::string& out, const SloEngine& slo) {
     if (!first) out += ',';
     first = false;
     out += "\n{\"name\":";
-    append_escaped(out, rule.name);
+    append_string(out, rule.name);
     out += ",\"series\":";
-    append_escaped(out, rule.series);
+    append_string(out, rule.series);
     out += ",\"aggregate\":";
-    append_escaped(out, to_string(rule.aggregate));
+    append_string(out, to_string(rule.aggregate));
     out += ",\"comparison\":";
-    append_escaped(out, to_string(rule.comparison));
+    append_string(out, to_string(rule.comparison));
     out += ',';
     append_field(out, "threshold", rule.threshold);
     append_field(out, "window_us", static_cast<double>(rule.window_us));
@@ -116,7 +82,7 @@ void append_slo_object(std::string& out, const SloEngine& slo) {
     if (!first) out += ',';
     first = false;
     out += "\n{\"rule\":";
-    append_escaped(out, window.rule);
+    append_string(out, window.rule);
     out += ',';
     append_field(out, "start_us", static_cast<double>(window.start));
     append_field(out, "end_us", static_cast<double>(window.end));
@@ -153,7 +119,7 @@ std::string to_json(const Registry& registry, const Trace* trace,
     if (!first) out += ',';
     first = false;
     out += "\n";
-    append_escaped(out, name);
+    append_string(out, name);
     out += ':';
     append_number(out, static_cast<double>(counter->value()));
   }
@@ -163,7 +129,7 @@ std::string to_json(const Registry& registry, const Trace* trace,
     if (!first) out += ',';
     first = false;
     out += "\n";
-    append_escaped(out, name);
+    append_string(out, name);
     out += ':';
     append_number(out, gauge->value());
   }
@@ -173,7 +139,7 @@ std::string to_json(const Registry& registry, const Trace* trace,
     if (!first) out += ',';
     first = false;
     out += "\n";
-    append_escaped(out, name);
+    append_string(out, name);
     out += ":{";
     append_field(out, "count", static_cast<double>(histogram->count()));
     append_field(out, "sum", histogram->sum());
@@ -211,7 +177,7 @@ std::string to_json(const Registry& registry, const Trace* trace,
   }
   if (trace != nullptr) {
     out += ",\n\"clock_domain\":";
-    append_escaped(out, trace->clock_domain());
+    append_string(out, trace->clock_domain());
     out += ",\n\"spans\":[";
     first = true;
     for (const Span& span : trace->spans()) {
@@ -221,9 +187,9 @@ std::string to_json(const Registry& registry, const Trace* trace,
       append_field(out, "id", static_cast<double>(span.id));
       append_field(out, "parent", static_cast<double>(span.parent));
       out += "\"name\":";
-      append_escaped(out, span.name);
+      append_string(out, span.name);
       out += ",\"kind\":";
-      append_escaped(out, span.kind);
+      append_string(out, span.kind);
       out += ',';
       append_field(out, "device", static_cast<double>(span.device));
       append_field(out, "start_us", static_cast<double>(span.start));
@@ -240,9 +206,9 @@ std::string to_json(const Registry& registry, const Trace* trace,
       out += "\n{";
       append_field(out, "span", static_cast<double>(event.span));
       out += "\"name\":";
-      append_escaped(out, event.name);
+      append_string(out, event.name);
       out += ",\"kind\":";
-      append_escaped(out, event.kind);
+      append_string(out, event.kind);
       out += ',';
       append_field(out, "device", static_cast<double>(event.device));
       append_field(out, "at_us", static_cast<double>(event.at), false);
@@ -387,7 +353,7 @@ std::string to_chrome_trace(
   append_field(out, "pid", 0.0);
   append_field(out, "tid", 0.0);
   out += "\"args\":{\"name\":";
-  append_escaped(out, trace.clock_domain());
+  append_string(out, trace.clock_domain());
   out += "}}";
   // One track per device: pid=tid=device id, labelled via metadata.
   std::map<std::uint64_t, bool> devices;
@@ -406,7 +372,7 @@ std::string to_chrome_trace(
     append_field(out, "tid", static_cast<double>(device));
     out += "\"args\":{\"name\":";
     auto it = device_names.find(device);
-    append_escaped(out, it != device_names.end()
+    append_string(out, it != device_names.end()
                             ? it->second
                             : "device " + std::to_string(device));
     out += "}}";
@@ -417,9 +383,9 @@ std::string to_chrome_trace(
     // begin ("B") so truncated operations remain visible in the viewer.
     out += span.closed ? "\"ph\":\"X\"," : "\"ph\":\"B\",";
     out += "\"name\":";
-    append_escaped(out, span.name);
+    append_string(out, span.name);
     out += ",\"cat\":";
-    append_escaped(out, span.kind.empty() ? "span" : span.kind);
+    append_string(out, span.kind.empty() ? "span" : span.kind);
     out += ',';
     append_field(out, "pid", static_cast<double>(span.device));
     append_field(out, "tid", static_cast<double>(span.device));
@@ -454,9 +420,9 @@ std::string to_chrome_trace(
   for (const TraceEvent& event : trace.events()) {
     begin_event();
     out += "\"ph\":\"i\",\"s\":\"t\",\"name\":";
-    append_escaped(out, event.name);
+    append_string(out, event.name);
     out += ",\"cat\":";
-    append_escaped(out, event.kind.empty() ? "event" : event.kind);
+    append_string(out, event.kind.empty() ? "event" : event.kind);
     out += ',';
     append_field(out, "pid", static_cast<double>(event.device));
     append_field(out, "tid", static_cast<double>(event.device));
@@ -473,7 +439,7 @@ std::string to_chrome_trace(
         const SeriesPoint& point = series.at(i);
         begin_event();
         out += "\"ph\":\"C\",\"name\":";
-        append_escaped(out, name);
+        append_string(out, name);
         out += ",\"cat\":\"series\",";
         append_field(out, "pid", static_cast<double>(device));
         append_field(out, "tid", static_cast<double>(device));
@@ -575,7 +541,7 @@ bool dump_flight_recording(const Trace& trace, const std::string& reason,
   const std::string prefix = "{\"displayTimeUnit\":\"ms\",";
   if (body.compare(0, prefix.size(), prefix) == 0) {
     std::string tagged = prefix + "\"otherData\":{\"reason\":";
-    append_escaped(tagged, reason);
+    append_string(tagged, reason);
     tagged += "},";
     body = tagged + body.substr(prefix.size());
   }

@@ -1,13 +1,34 @@
 #include "obs/json.hpp"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 
 namespace ph::obs::json {
 
 namespace {
+
+// Strings hold UTF-8, so a decoded \uXXXX escape is stored as the bytes
+// append_string writes back verbatim.
+void append_utf8(std::string& out, std::uint32_t code) {
+  if (code < 0x80) {
+    out += static_cast<char>(code);
+    return;
+  }
+  if (code < 0x800) {
+    out += static_cast<char>(0xc0 | (code >> 6));
+  } else {
+    if (code < 0x10000) {
+      out += static_cast<char>(0xe0 | (code >> 12));
+    } else {
+      out += static_cast<char>(0xf0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+    }
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+  }
+  out += static_cast<char>(0x80 | (code & 0x3f));
+}
 
 class Parser {
  public:
@@ -64,8 +85,14 @@ class Parser {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
     switch (c) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) return fail("nesting too deep");
+        ++depth_;
+        const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         out.kind = Value::Kind::string;
         return parse_string(out.string);
@@ -148,11 +175,17 @@ class Parser {
           case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) return fail("bad \\u escape");
-            // Pass the escape through verbatim; good enough for metric names.
-            out += "\\u";
-            out += text_.substr(pos_, 4);
-            pos_ += 4;
+            std::uint32_t code = 0;
+            if (!parse_hex4(code)) return fail("bad \\u escape");
+            if (code >= 0xd800 && code < 0xdc00 && consume_word("\\u")) {
+              // A high surrogate pairs with the escaped low one after it.
+              std::uint32_t low = 0;
+              if (!parse_hex4(low) || low < 0xdc00 || low >= 0xe000) {
+                return fail("bad \\u escape");
+              }
+              code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+            }
+            append_utf8(out, code);
             break;
           }
           default: return fail("bad escape");
@@ -164,6 +197,15 @@ class Parser {
       }
     }
     return fail("unterminated string");
+  }
+
+  bool parse_hex4(std::uint32_t& code) {
+    if (pos_ + 4 > text_.size()) return false;
+    const char* first = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(first, first + 4, code, 16);
+    if (ec != std::errc() || end != first + 4) return false;
+    pos_ += 4;
+    return true;
   }
 
   bool parse_number(Value& out) {
@@ -187,6 +229,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string message_;
 };
 
@@ -198,48 +241,12 @@ bool parse(std::string_view text, Value& out, std::string* error) {
 
 namespace {
 
-void serialize_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void serialize_into(std::string& out, const Value& value) {
   switch (value.kind) {
     case Value::Kind::null: out += "null"; break;
     case Value::Kind::boolean: out += value.boolean ? "true" : "false"; break;
-    case Value::Kind::number: {
-      if (!std::isfinite(value.number)) {
-        out += "null";
-        break;
-      }
-      char buf[32];
-      if (value.number == std::floor(value.number) &&
-          std::fabs(value.number) < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%.0f", value.number);
-      } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", value.number);
-      }
-      out += buf;
-      break;
-    }
-    case Value::Kind::string: serialize_string(out, value.string); break;
+    case Value::Kind::number: append_number(out, value.number); break;
+    case Value::Kind::string: append_string(out, value.string); break;
     case Value::Kind::array: {
       out += '[';
       bool first = true;
@@ -257,7 +264,7 @@ void serialize_into(std::string& out, const Value& value) {
       for (const auto& [key, member] : *value.object) {
         if (!first) out += ',';
         first = false;
-        serialize_string(out, key);
+        append_string(out, key);
         out += ':';
         serialize_into(out, member);
       }
