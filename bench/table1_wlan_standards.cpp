@@ -29,14 +29,14 @@ double measure_goodput(const ph::net::TechProfile& profile,
   ph::net::Adapter& rx = medium.add_adapter(b, profile);
 
   std::size_t received = 0;
-  rx.listen(5, [&](ph::net::Link link) {
-    auto held = std::make_shared<ph::net::Link>(link);
+  rx.listen(5, [&](ph::transport::Channel link) {
+    auto held = std::make_shared<ph::transport::Channel>(link);
     held->on_receive([&received, held](ph::BytesView data) {
       received += data.size();
     });
   });
-  ph::net::Link sender;
-  tx.connect(b, 5, [&](ph::Result<ph::net::Link> link) {
+  ph::transport::Channel sender;
+  tx.connect(b, 5, [&](ph::Result<ph::transport::Channel> link) {
     PH_CHECK(link.ok());
     sender = *link;
   });

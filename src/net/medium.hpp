@@ -3,7 +3,10 @@
 // Owns the node registry (position = mobility model sampled at virtual
 // time), one Adapter per (device, technology), and the frame-delivery
 // machinery: reachability, signal strength, bandwidth serialization,
-// propagation latency, loss/retransmission and link breakage.
+// propagation latency, loss/retransmission and link breakage. Adapters are
+// the simulated substrate's transport endpoints and each side of a link is
+// a transport channel, so the Medium counts the common `transport.*`
+// family itself, inline where frames are sent, delivered and broken.
 //
 // This is the substitution for the thesis' physical testbed (ComLab room
 // 6604, Bluetooth dongles, people carrying laptops): every quantity the
@@ -21,7 +24,6 @@
 
 #include "net/adapter.hpp"
 #include "net/fault.hpp"
-#include "net/link.hpp"
 #include "net/spatial.hpp"
 #include "net/tech.hpp"
 #include "net/types.hpp"
@@ -30,9 +32,15 @@
 #include "sim/mobility.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "transport/transport.hpp"
 #include "util/arena.hpp"
 
 namespace ph::net {
+
+namespace detail {
+class LinkSide;
+struct LinkState;
+}  // namespace detail
 
 /// Tuning knobs for the world's proximity machinery. The defaults are the
 /// fast path; the brute-force switches exist for A/B validation (the
@@ -175,7 +183,7 @@ class Medium {
 
  private:
   friend class Adapter;
-  friend class Link;
+  friend class detail::LinkSide;
 
   /// Time to push `bytes` through the radio plus propagation, including
   /// randomized retransmission delays for reliable (link) traffic.
@@ -193,14 +201,14 @@ class Medium {
   /// signal() is the memoizing wrapper around it.
   double signal_physics(NodeId a, NodeId b, const TechProfile& profile) const;
 
-  // Internal helpers used by Adapter/Link (implemented in medium.cpp).
+  // Internal helpers used by Adapter/LinkSide (implemented in medium.cpp).
   void deliver_datagram(Adapter& from, NodeId dst, Port port,
                         BytesView payload);
-  void start_inquiry(Adapter& from, InquiryHandler done);
-  void open_link(Adapter& from, NodeId dst, Port port, ConnectHandler done);
-  void link_send(const std::shared_ptr<detail::LinkState>& state, NodeId sender,
-                 BytesView payload);
-  void link_close(const std::shared_ptr<detail::LinkState>& state, NodeId closer);
+  void start_inquiry(Adapter& from, transport::InquiryHandler done);
+  void open_link(Adapter& from, NodeId dst, Port port,
+                 transport::ConnectHandler done);
+  void link_send(detail::LinkSide& sender, BytesView payload);
+  void link_close(detail::LinkSide& closer);
   void break_link(const std::shared_ptr<detail::LinkState>& state);
   void break_links_of(NodeId node, Technology tech);
 
@@ -241,7 +249,7 @@ class Medium {
   /// it is filtered at query time, exactly like the brute-force path.
   struct TechAdapters {
     std::vector<Adapter*> list;          // sorted by node id; never die
-    std::vector<NodeId> ids;             // list[i]->node()
+    std::vector<NodeId> ids;             // list[i]->device()
     std::vector<std::uint8_t> powered;   // list[i]->powered() mirror
     double max_range_m = 0.0;   // over non-gateway profiles; sizes cells
     SpatialGrid grid;
@@ -360,6 +368,8 @@ class Medium {
   obs::Counter* c_signal_memo_hits_ = nullptr;
   obs::Histogram* h_transfer_us_ = nullptr;
   std::array<TechCounters, 3> tech_counters_{};  // indexed by Technology
+  /// The common `transport.*` family, counted for every adapter and link.
+  transport::TransportMetrics transport_;
   NodeId next_node_ = 1;
   FaultInjector* fault_ = nullptr;
 };

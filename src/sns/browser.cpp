@@ -8,7 +8,7 @@
 namespace ph::sns {
 
 struct BrowserClient::TaskState {
-  net::Link link;
+  transport::Channel link;
   std::vector<PageRequest> pages;
   std::size_t next = 0;
   sim::Time started = 0;
@@ -53,8 +53,8 @@ void BrowserClient::run_task(std::vector<PageRequest> pages,
   obs::Trace::Scope task_scope(trace, state->span);
 
   net::Adapter* adapter = medium_.adapter(node_, net::Technology::gprs);
-  adapter->connect(server_node_, kSnsPort, [this, state,
-                                            pre_think](Result<net::Link> link) {
+  adapter->connect(server_node_, kSnsPort,
+                   [this, state, pre_think](Result<transport::Channel> link) {
     if (!link) {
       if (!state->finished) {
         state->finished = true;

@@ -25,7 +25,8 @@ SnsServer::SnsServer(net::Medium& medium, SiteProfile site)
       site_.name + "-datacenter",
       std::make_unique<sim::StaticMobility>(sim::Vec2{0.0, 0.0}));
   net::Adapter& adapter = medium_.add_adapter(node_, net::gprs());
-  adapter.listen(kSnsPort, [this](net::Link link) { on_accept(link); });
+  adapter.listen(kSnsPort,
+                 [this](transport::Channel link) { on_accept(link); });
   metric_prefix_ = "sns.server.d" + std::to_string(node_) + ".";
   const std::string& prefix = metric_prefix_;
   c_pages_served_ = &medium_.registry().counter(prefix + "pages_served");
@@ -173,8 +174,8 @@ PageResponse SnsServer::handle(const PageRequest& request) {
   return response;
 }
 
-void SnsServer::on_accept(net::Link link) {
-  auto holder = std::make_shared<net::Link>(link);
+void SnsServer::on_accept(transport::Channel link) {
+  auto holder = std::make_shared<transport::Channel>(link);
   link.on_receive([this, holder](BytesView data) {
     auto request = decode_page_request(data);
     if (!request) {

@@ -54,7 +54,7 @@ class SnsServer {
   obs::Snapshot stats() const;
 
  private:
-  void on_accept(net::Link link);
+  void on_accept(transport::Channel link);
 
   net::Medium& medium_;
   SiteProfile site_;

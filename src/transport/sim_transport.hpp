@@ -1,24 +1,20 @@
 // SimTransport — the simulated-medium backend of ph::transport.
 //
-// A zero-behaviour-change adapter: every Endpoint/Channel/Scheduler call
-// forwards 1:1 to the corresponding net::Adapter / net::Link /
-// sim::Simulator call, in the same order the pre-transport code made it,
-// so RNG consumption, event ordering and therefore whole runs stay
-// byte-identical to driving the Medium directly (the chaos-determinism
-// and trace byte-compare gates hold through this layer). The only state
-// this backend adds is the common `transport.*` metric family
-// (register_transport_metrics): passive counter increments that touch
-// neither the RNG nor the event queue, so they count identically on every
-// same-seed run.
+// The simulated radio world already speaks the transport vocabulary: a
+// net::Adapter is this backend's Endpoint and each side of a Medium link is
+// a Channel, so add_endpoint hands out the Medium's adapter itself and
+// nothing forwards or wraps. What this class adds is the Scheduler view of
+// the sim::Simulator and the Transport root (registry, trace, RNG and
+// device registration, all the Medium's). The common `transport.*` family
+// is counted by the Medium for every adapter and link, whichever transport
+// (or none) created them.
 //
-// Several SimTransport instances may wrap one Medium (the Stack(Medium&,
+// Several SimTransport instances may share one Medium (the Stack(Medium&,
 // ...) constructor owns one per device); they share the Medium's
-// registry, trace, RNG and simulator, so which instance a call goes
-// through is unobservable. Each instance looks up only the endpoints it
-// created itself.
+// registry, trace, RNG, simulator and adapters, so which instance a call
+// goes through is unobservable.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -43,8 +39,12 @@ class SimTransport final : public Transport {
 
   DeviceId add_device(std::string name,
                       std::unique_ptr<sim::MobilityModel> mobility) override;
-  Endpoint& add_endpoint(DeviceId device, net::TechProfile profile) override;
-  Endpoint* endpoint(DeviceId device, net::Technology tech) override;
+  Endpoint& add_endpoint(DeviceId device, net::TechProfile profile) override {
+    return medium_.add_adapter(device, std::move(profile));
+  }
+  Endpoint* endpoint(DeviceId device, net::Technology tech) override {
+    return medium_.adapter(device, tech);
+  }
 
   /// Sim-only test hook: the radio world beneath this transport, for code
   /// that genuinely needs medium internals (fault injectors, access
@@ -57,11 +57,6 @@ class SimTransport final : public Transport {
 
   net::Medium& medium_;
   std::unique_ptr<SimScheduler> scheduler_;
-  /// Common `transport.*` handles in the Medium's registry; endpoints and
-  /// channels created through this transport count into them.
-  TransportMetrics metrics_;
-  std::map<std::pair<DeviceId, net::Technology>, std::unique_ptr<Endpoint>>
-      endpoints_;
 };
 
 }  // namespace ph::transport

@@ -56,11 +56,11 @@ TEST_F(PlaneTest, BurstWindowRaisesRetransmissionsThenEnds) {
   net::TechProfile bt = clean_bt();  // zero steady-state loss
   const net::NodeId a = add_node("a", {0, 0}, bt);
   const net::NodeId b = add_node("b", {2, 0}, bt);
-  net::Link client, server;
+  transport::Channel client, server;
   medium_.adapter(b, net::Technology::bluetooth)
-      ->listen(5, [&](net::Link link) { server = link; });
+      ->listen(5, [&](transport::Channel link) { server = link; });
   medium_.adapter(a, net::Technology::bluetooth)
-      ->connect(b, 5, [&](Result<net::Link> link) {
+      ->connect(b, 5, [&](Result<transport::Channel> link) {
         ASSERT_TRUE(link.ok());
         client = *link;
       });
@@ -97,11 +97,11 @@ TEST_F(PlaneTest, BurstWindowRaisesRetransmissionsThenEnds) {
 TEST_F(PlaneTest, LatencySpikeDelaysDelivery) {
   const net::NodeId a = add_node("a", {0, 0}, clean_bt());
   const net::NodeId b = add_node("b", {2, 0}, clean_bt());
-  net::Link client, server;
+  transport::Channel client, server;
   medium_.adapter(b, net::Technology::bluetooth)
-      ->listen(5, [&](net::Link link) { server = link; });
+      ->listen(5, [&](transport::Channel link) { server = link; });
   medium_.adapter(a, net::Technology::bluetooth)
-      ->connect(b, 5, [&](Result<net::Link> link) { client = *link; });
+      ->connect(b, 5, [&](Result<transport::Channel> link) { client = *link; });
   simulator_.run_until(sim::seconds(2));
   ASSERT_TRUE(client.valid());
 

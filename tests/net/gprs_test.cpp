@@ -58,13 +58,13 @@ TEST_F(GprsTest, DeliveryIncludesGatewayLatency) {
 TEST_F(GprsTest, LinkRoundTripIsSlow) {
   // A small echo over GPRS costs > 1.6 s — the latency floor behind the
   // slow SNS baseline and the thesis' "GPRS is very expensive" remark.
-  Link client;
-  std::shared_ptr<Link> server;
-  radio_b_->listen(5, [&](Link link) {
-    server = std::make_shared<Link>(link);
+  transport::Channel client;
+  std::shared_ptr<transport::Channel> server;
+  radio_b_->listen(5, [&](transport::Channel link) {
+    server = std::make_shared<transport::Channel>(link);
     server->on_receive([&](BytesView data) { server->send(data); });
   });
-  radio_a_->connect(b_, 5, [&](Result<Link> link) {
+  radio_a_->connect(b_, 5, [&](Result<transport::Channel> link) {
     ASSERT_TRUE(link.ok());
     client = *link;
   });
@@ -86,7 +86,7 @@ TEST_F(GprsTest, PoweredOffGprsDeviceUnreachableDespiteGateway) {
   EXPECT_FALSE(medium_.reachable(a_, b_, lossless_gprs()));
   bool connected_or_failed = false;
   bool ok = false;
-  radio_a_->connect(b_, 5, [&](Result<Link> link) {
+  radio_a_->connect(b_, 5, [&](Result<transport::Channel> link) {
     connected_or_failed = true;
     ok = link.ok();
   });

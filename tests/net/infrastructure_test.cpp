@@ -117,12 +117,12 @@ TEST_F(InfrastructureTest, ApFailureBreaksLinksImmediately) {
   NodeId ap = medium_.add_access_point("ap", {75, 0}, 100.0);
   Adapter* radio_a = medium_.adapter(a, Technology::wlan);
   Adapter* radio_b = medium_.adapter(b, Technology::wlan);
-  Link client;
-  std::shared_ptr<Link> server;
-  radio_b->listen(5, [&](Link link) {
-    server = std::make_shared<Link>(link);
+  transport::Channel client;
+  std::shared_ptr<transport::Channel> server;
+  radio_b->listen(5, [&](transport::Channel link) {
+    server = std::make_shared<transport::Channel>(link);
   });
-  radio_a->connect(b, 5, [&](Result<Link> link) {
+  radio_a->connect(b, 5, [&](Result<transport::Channel> link) {
     ASSERT_TRUE(link.ok());
     client = *link;
   });
@@ -145,9 +145,9 @@ TEST_F(InfrastructureTest, SecondApKeepsLinkAliveWhenFirstDies) {
   medium_.add_access_point("ap2", {30, 10}, 100.0);
   Adapter* radio_a = medium_.adapter(a, Technology::wlan);
   Adapter* radio_b = medium_.adapter(b, Technology::wlan);
-  radio_b->listen(5, [](Link) {});
-  Link client;
-  radio_a->connect(b, 5, [&](Result<Link> link) { client = *link; });
+  radio_b->listen(5, [](transport::Channel) {});
+  transport::Channel client;
+  radio_a->connect(b, 5, [&](Result<transport::Channel> link) { client = *link; });
   simulator_.run_for(sim::seconds(1));
   ASSERT_TRUE(client.open());
   medium_.set_access_point_active(ap1, false);

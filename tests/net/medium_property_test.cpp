@@ -30,8 +30,8 @@ TEST_P(LinkFifoPropertyTest, RandomSizedMessagesStayOrdered) {
   Adapter& rx = medium.add_adapter(b, bt);
 
   std::vector<std::uint32_t> received;
-  rx.listen(5, [&](Link link) {
-    auto held = std::make_shared<Link>(link);
+  rx.listen(5, [&](transport::Channel link) {
+    auto held = std::make_shared<transport::Channel>(link);
     held->on_receive([&received, held](BytesView data) {
       // First 4 bytes carry the sequence number.
       std::uint32_t seq = 0;
@@ -39,8 +39,8 @@ TEST_P(LinkFifoPropertyTest, RandomSizedMessagesStayOrdered) {
       received.push_back(seq);
     });
   });
-  Link sender;
-  tx.connect(b, 5, [&](Result<Link> link) { sender = *link; });
+  transport::Channel sender;
+  tx.connect(b, 5, [&](Result<transport::Channel> link) { sender = *link; });
   simulator.run_for(sim::seconds(2));
   ASSERT_TRUE(sender.valid());
 
@@ -123,9 +123,9 @@ TEST(TrafficAccountingTest, LinkBytesCounted) {
       "b", std::make_unique<sim::StaticMobility>(sim::Vec2{2, 0}));
   Adapter& tx = medium.add_adapter(a, bt);
   Adapter& rx = medium.add_adapter(b, bt);
-  rx.listen(5, [](Link) {});
-  Link sender;
-  tx.connect(b, 5, [&](Result<Link> link) { sender = *link; });
+  rx.listen(5, [](transport::Channel) {});
+  transport::Channel sender;
+  tx.connect(b, 5, [&](Result<transport::Channel> link) { sender = *link; });
   simulator.run_for(sim::seconds(2));
   sender.send(Bytes(12'345, 1));
   simulator.run_for(sim::seconds(2));

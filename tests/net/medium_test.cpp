@@ -151,12 +151,12 @@ class MediumLinkAccountingTest : public MediumTest {
     b_ = add_static_node("b", {2, 0});
     radio_a_ = &medium_.add_adapter(a_, bt);
     radio_b_ = &medium_.add_adapter(b_, bt);
-    radio_b_->listen(5, [](Link) {});
+    radio_b_->listen(5, [](transport::Channel) {});
   }
 
-  Link connect() {
-    Link client;
-    radio_a_->connect(b_, 5, [&](Result<Link> link) {
+  transport::Channel connect() {
+    transport::Channel client;
+    radio_a_->connect(b_, 5, [&](Result<transport::Channel> link) {
       ASSERT_TRUE(link.ok()) << link.error().to_string();
       client = *link;
     });
@@ -172,14 +172,14 @@ class MediumLinkAccountingTest : public MediumTest {
 
 TEST_F(MediumLinkAccountingTest, OpenLinkCountTracksBothEndpoints) {
   EXPECT_EQ(medium_.open_link_count(a_, Technology::bluetooth), 0u);
-  Link link = connect();
+  transport::Channel link = connect();
   EXPECT_EQ(medium_.open_link_count(a_, Technology::bluetooth), 1u);
   EXPECT_EQ(medium_.open_link_count(b_, Technology::bluetooth), 1u);
   EXPECT_EQ(medium_.open_link_count(a_, Technology::wlan), 0u);
 }
 
 TEST_F(MediumLinkAccountingTest, CapacityFreesAtCloseInitiation) {
-  Link link = connect();
+  transport::Channel link = connect();
   // close() only *schedules* the teardown, but a closing link no longer
   // occupies piconet capacity — the count must drop before the close
   // completes, matching the semantics a new connect() relies on.
@@ -192,7 +192,7 @@ TEST_F(MediumLinkAccountingTest, CapacityFreesAtCloseInitiation) {
 }
 
 TEST_F(MediumLinkAccountingTest, CountDropsWhenPowerOffBreaksLinks) {
-  Link link = connect();
+  transport::Channel link = connect();
   radio_b_->set_powered(false);  // breaks the link immediately
   EXPECT_FALSE(link.open());
   EXPECT_EQ(medium_.open_link_count(a_, Technology::bluetooth), 0u);
@@ -200,7 +200,7 @@ TEST_F(MediumLinkAccountingTest, CountDropsWhenPowerOffBreaksLinks) {
 }
 
 TEST_F(MediumLinkAccountingTest, BreakAfterCloseInitiationDoesNotDoubleFree) {
-  Link first = connect();
+  transport::Channel first = connect();
   first.close();
   // The link is closing but not yet dead; a power-off now takes the break
   // path. The count already dropped at close initiation and must not go
@@ -208,7 +208,7 @@ TEST_F(MediumLinkAccountingTest, BreakAfterCloseInitiationDoesNotDoubleFree) {
   radio_a_->set_powered(false);
   simulator_.run_all();
   radio_a_->set_powered(true);
-  Link second = connect();
+  transport::Channel second = connect();
   EXPECT_EQ(medium_.open_link_count(a_, Technology::bluetooth), 1u);
   EXPECT_EQ(medium_.open_link_count(b_, Technology::bluetooth), 1u);
 }
@@ -218,7 +218,7 @@ TEST_F(MediumLinkAccountingTest, TrackedLinksStayBoundedUnderChurn) {
   // opened. 200 open/close cycles must leave the registry near-empty, not
   // 200 entries long.
   for (int i = 0; i < 200; ++i) {
-    Link link = connect();
+    transport::Channel link = connect();
     link.close();
     simulator_.run_all();
   }

@@ -21,8 +21,8 @@ class PiconetTest : public ::testing::Test {
     hub_ = medium_.add_node("hub", std::make_unique<sim::StaticMobility>(
                                        sim::Vec2{0, 0}));
     hub_radio_ = &medium_.add_adapter(hub_, capped_bt());
-    hub_radio_->listen(5, [this](Link link) {
-      accepted_.push_back(std::make_shared<Link>(link));
+    hub_radio_->listen(5, [this](transport::Channel link) {
+      accepted_.push_back(std::make_shared<transport::Channel>(link));
     });
   }
 
@@ -36,10 +36,10 @@ class PiconetTest : public ::testing::Test {
   }
 
   /// Connects spoke -> hub; returns the link (invalid on refusal).
-  Result<Link> connect_from(NodeId spoke) {
-    Result<Link> outcome = Error{Errc::timeout, "never completed"};
+  Result<transport::Channel> connect_from(NodeId spoke) {
+    Result<transport::Channel> outcome = Error{Errc::timeout, "never completed"};
     medium_.adapter(spoke, Technology::bluetooth)
-        ->connect(hub_, 5, [&](Result<Link> link) { outcome = std::move(link); });
+        ->connect(hub_, 5, [&](Result<transport::Channel> link) { outcome = std::move(link); });
     simulator_.run_for(sim::seconds(2));
     return outcome;
   }
@@ -48,11 +48,11 @@ class PiconetTest : public ::testing::Test {
   Medium medium_;
   NodeId hub_ = 0;
   Adapter* hub_radio_ = nullptr;
-  std::vector<std::shared_ptr<Link>> accepted_;
+  std::vector<std::shared_ptr<transport::Channel>> accepted_;
 };
 
 TEST_F(PiconetTest, SevenLinksFitTheEighthIsRefused) {
-  std::vector<Link> links;
+  std::vector<transport::Channel> links;
   for (int i = 0; i < 7; ++i) {
     auto link = connect_from(add_spoke(i));
     ASSERT_TRUE(link.ok()) << "link " << i << ": " << link.error().to_string();
@@ -66,7 +66,7 @@ TEST_F(PiconetTest, SevenLinksFitTheEighthIsRefused) {
 }
 
 TEST_F(PiconetTest, ClosingALinkFreesCapacity) {
-  std::vector<Link> links;
+  std::vector<transport::Channel> links;
   for (int i = 0; i < 7; ++i) {
     links.push_back(*connect_from(add_spoke(i)));
   }
@@ -78,7 +78,7 @@ TEST_F(PiconetTest, ClosingALinkFreesCapacity) {
 
 TEST_F(PiconetTest, BreakageAlsoFreesCapacity) {
   std::vector<NodeId> spokes;
-  std::vector<Link> links;
+  std::vector<transport::Channel> links;
   for (int i = 0; i < 7; ++i) {
     spokes.push_back(add_spoke(i));
     links.push_back(*connect_from(spokes.back()));
@@ -97,16 +97,16 @@ TEST_F(PiconetTest, WlanHasNoLinkCap) {
   NodeId hub = medium.add_node(
       "hub", std::make_unique<sim::StaticMobility>(sim::Vec2{0, 0}));
   Adapter& hub_radio = medium.add_adapter(hub, wlan);
-  std::vector<std::shared_ptr<Link>> accepted;
-  hub_radio.listen(5, [&](Link link) {
-    accepted.push_back(std::make_shared<Link>(link));
+  std::vector<std::shared_ptr<transport::Channel>> accepted;
+  hub_radio.listen(5, [&](transport::Channel link) {
+    accepted.push_back(std::make_shared<transport::Channel>(link));
   });
   int successes = 0;
   for (int i = 0; i < 20; ++i) {
     NodeId spoke = medium.add_node(
         "s" + std::to_string(i),
         std::make_unique<sim::StaticMobility>(sim::Vec2{5, 0}));
-    medium.add_adapter(spoke, wlan).connect(hub, 5, [&](Result<Link> link) {
+    medium.add_adapter(spoke, wlan).connect(hub, 5, [&](Result<transport::Channel> link) {
       if (link.ok()) ++successes;
     });
   }
