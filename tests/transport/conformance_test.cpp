@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -495,6 +496,83 @@ TEST_P(TransportConformance, HandlerClosesItsConnectionAndSendsOnAnother) {
   pump_until([&] { return held.size() == 2 && !held[1]->open(); },
              sim::seconds(5));
   for (auto& conn : held) conn->close();  // break the echo handlers' cycles
+}
+
+// The common `transport.*` counters mean the same thing on every backend:
+// one scripted exchange moves them by the same amounts on both. Datagrams
+// count once per receiver when sent and once per arrival (bound port or
+// not); channel messages count when sent on an open channel, channel bytes
+// when sent and when delivered; a break counts on each side that observes
+// it, so a local close counts once, at the peer.
+TEST_P(TransportConformance, CountsTheSameExchangeTheSame) {
+  net::TechProfile wlan = quick_wlan();
+  wlan.frame_loss = 0.0;  // every datagram arrives on both substrates
+  const DeviceId a = transport_->add_device("a", nullptr);
+  const DeviceId b = transport_->add_device("b", nullptr);
+  const DeviceId c = transport_->add_device("c", nullptr);
+  Endpoint& ea = transport_->add_endpoint(a, wlan);
+  Endpoint& eb = transport_->add_endpoint(b, wlan);
+  Endpoint& ec = transport_->add_endpoint(c, wlan);
+
+  const auto counters = [&] {
+    std::map<std::string, std::uint64_t> values;
+    for (const auto& [name, counter] : transport_->registry().counters()) {
+      if (name.starts_with("transport.") &&
+          !name.starts_with("transport.socket.")) {
+        values[name] = counter->value();
+      }
+    }
+    return values;
+  };
+  const auto before = counters();
+
+  int b_got = 0, c_got = 0;
+  eb.bind(4000, [&](DeviceId, BytesView) { ++b_got; });
+  ec.bind(4000, [&](DeviceId, BytesView) { ++c_got; });
+  ea.send_datagram(b, 4000, to_bytes("bound"));      // 5 bytes
+  ea.send_datagram(b, 4001, to_bytes("unbound"));    // 7 bytes, no handler
+  ea.broadcast_datagram(4000, to_bytes("everyone"));  // 8 bytes, to b and c
+  ASSERT_TRUE(
+      pump_until([&] { return b_got == 2 && c_got == 1; }, sim::seconds(5)));
+
+  Channel server;
+  int server_got = 0;
+  bool server_broke = false;
+  eb.listen(5000, [&](Channel channel) {
+    server = channel;
+    server.on_receive([&](BytesView) {
+      ++server_got;
+      server.send(to_bytes("pong"));  // 4 bytes each
+    });
+    server.on_break([&] { server_broke = true; });
+  });
+  Channel client;
+  int client_got = 0;
+  ea.connect(b, 5000, [&](Result<Channel> result) {
+    ASSERT_TRUE(bool(result)) << result.error().to_string();
+    client = *result;
+    client.on_receive([&](BytesView) { ++client_got; });
+    for (int i = 0; i < 3; ++i) client.send(to_bytes("ping!"));  // 5 bytes
+  });
+  ASSERT_TRUE(pump_until([&] { return server_got == 3 && client_got == 3; },
+                         sim::seconds(5)));
+  client.close();
+  ASSERT_TRUE(pump_until([&] { return server_broke; }, sim::seconds(5)));
+
+  auto delta = counters();
+  for (auto& [name, value] : delta) value -= before.at(name);
+  const std::map<std::string, std::uint64_t> expected = {
+      {"transport.bad_frames", 0},
+      {"transport.channel_bytes", 2 * (3 * 5 + 3 * 4)},
+      {"transport.channel_messages", 6},
+      {"transport.channels_accepted", 1},
+      {"transport.channels_broken", 1},
+      {"transport.channels_opened", 1},
+      {"transport.datagram_bytes", 5 + 7 + 2 * 8},
+      {"transport.datagrams_received", 4},
+      {"transport.datagrams_sent", 4},
+  };
+  EXPECT_EQ(delta, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
