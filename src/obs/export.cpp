@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 
 #include "obs/json.hpp"
 
@@ -286,6 +287,20 @@ Result<ExpoDoc> metrics_from_json(const json::Value& root) {
     if (table == nullptr || !table->is_object()) {
       return malformed_metrics(std::string("missing '") + section +
                                "' object");
+    }
+  }
+  // Every name must be one the exposition can carry: legal, and in one
+  // section only (the exposition declares one TYPE per name).
+  std::set<std::string> names;
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    for (const auto& [name, value] : *root.get(section)->object) {
+      if (!valid_metric_name(name)) {
+        return malformed_metrics("illegal metric name '" + name + "'");
+      }
+      if (!names.insert(name).second) {
+        return malformed_metrics("metric '" + name +
+                                 "' appears in more than one section");
+      }
     }
   }
   ExpoDoc doc;

@@ -62,11 +62,12 @@ std::string to_json(const Registry& registry, const Trace* trace = nullptr,
 /// to_json() document into the exposition's document type, so both wire
 /// formats are checked and queried the same way. Fails
 /// (Errc::protocol_error) when the top level is not an object, a section
-/// is missing or not an object, a counter is not a non-negative integer, a
-/// gauge is not a number, or a histogram is not an object carrying
-/// numeric count/sum/p50/p95/p99 and a non-empty "buckets" array of
-/// {"le": BOUND, "count": N} entries whose last, and only last, "le" is
-/// "inf". Other sections are not read.
+/// is missing or not an object, a metric name is not one the exposition
+/// can carry ([a-z0-9._]+, in one section only), a counter is not a
+/// non-negative integer, a gauge is not a number, or a histogram is not
+/// an object carrying numeric count/sum/p50/p95/p99 and a non-empty
+/// "buckets" array of {"le": BOUND, "count": N} entries whose last, and
+/// only last, "le" is "inf". Other sections are not read.
 Result<ExpoDoc> metrics_from_json(const json::Value& root);
 
 /// Standalone dump of the sampler's rings (+ SLO breach windows): the

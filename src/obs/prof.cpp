@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -125,6 +126,16 @@ void EventProfiler::publish_wall(Registry& registry) {
 // ---------------------------------------------------------------------------
 // Folded profiles
 
+namespace {
+
+/// Adds sample counts without wrapping: a sum past 2^64-1 stays there.
+std::uint64_t add_counts(std::uint64_t a, std::uint64_t b) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  return a > kMax - b ? kMax : a + b;
+}
+
+}  // namespace
+
 Result<FoldedProfile> parse_folded(const std::string& text) {
   FoldedProfile profile;
   std::size_t pos = 0;
@@ -152,7 +163,13 @@ Result<FoldedProfile> parse_folded(const std::string& text) {
                      "folded line " + std::to_string(lineno) +
                          ": count is not a number: '" + digits + "'"};
       }
-      count = count * 10 + static_cast<std::uint64_t>(ch - '0');
+      const auto digit = static_cast<std::uint64_t>(ch - '0');
+      if (count > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+        return Error{Errc::invalid_argument,
+                     "folded line " + std::to_string(lineno) +
+                         ": count overflows 64 bits: '" + digits + "'"};
+      }
+      count = count * 10 + digit;
     }
     if (count == 0) {
       return Error{Errc::invalid_argument,
@@ -166,13 +183,17 @@ Result<FoldedProfile> parse_folded(const std::string& text) {
                    "folded line " + std::to_string(lineno) +
                        ": malformed stack '" + stack + "'"};
     }
-    profile[stack] += count;
+    std::uint64_t& total = profile[stack];
+    total = add_counts(total, count);
   }
   return profile;
 }
 
 void merge_folded(FoldedProfile& into, const FoldedProfile& more) {
-  for (const auto& [stack, count] : more) into[stack] += count;
+  for (const auto& [stack, count] : more) {
+    std::uint64_t& total = into[stack];
+    total = add_counts(total, count);
+  }
 }
 
 std::string render_folded(const FoldedProfile& profile) {

@@ -307,11 +307,13 @@ class EventProfiler {
 using FoldedProfile = std::map<std::string, std::uint64_t>;
 
 /// Parses folded text (one "stack count" line each; blank lines ignored).
-/// Duplicate stacks accumulate. Malformed lines are an error.
+/// Duplicate stacks accumulate. Malformed lines, and counts that do not
+/// fit 64 bits, are an error.
 Result<FoldedProfile> parse_folded(const std::string& text);
 
 /// Adds `more`'s counts into `into` — the fleet/cross-shard merge.
-/// Associative and commutative, so scrape order never matters.
+/// Associative and commutative, so scrape order never matters; `more` may
+/// be `into` itself. Sums saturate at 2^64-1 rather than wrap.
 void merge_folded(FoldedProfile& into, const FoldedProfile& more);
 
 /// Renders one "stack count\n" line per entry, in map (stack) order.

@@ -265,5 +265,25 @@ TEST(MetricsJson, RejectsMalformedMetricSections) {
   }
 }
 
+// A name the exposition cannot carry used to be read, and the exposition
+// rendered from it then failed to parse: an illegal name, or one name in
+// two sections (the exposition declares one TYPE per name).
+TEST(MetricsJson, RejectsNamesTheExpositionCannotCarry) {
+  for (const std::string text : {
+           R"({"counters":{"Net.frames":1},"gauges":{},"histograms":{}})",
+           R"({"counters":{},"gauges":{"net depth":1},"histograms":{}})",
+           R"({"counters":{"":1},"gauges":{},"histograms":{}})",
+           R"({"counters":{"net.x":1},"gauges":{"net.x":2},"histograms":{}})",
+       }) {
+    auto doc = read_json(text);
+    ASSERT_FALSE(doc.ok()) << text;
+    EXPECT_EQ(doc.error().code, Errc::protocol_error) << text;
+  }
+  auto doc = read_json(
+      R"({"counters":{"net.x_1":1},"gauges":{"net.y":2},"histograms":{}})");
+  ASSERT_TRUE(doc.ok()) << doc.error().to_string();
+  EXPECT_TRUE(parse_exposition(render_exposition(doc.value())).ok());
+}
+
 }  // namespace
 }  // namespace ph::obs

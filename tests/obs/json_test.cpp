@@ -1,7 +1,9 @@
 // The obs JSON reader and writer (obs/json.hpp): the nesting cap, \u
 // escapes, the writer's number and string formats, and a seeded mutation
-// case over every checked-in JSON document. obs_test runs under ASan in
-// ph_sanitize_smoke, so an out-of-bounds read in the parser aborts there.
+// case over every checked-in JSON document. The same mutations drive the
+// readers built on top: metrics_from_json (through the exposition format)
+// and the folded-profile parser and merge. obs_test runs under ASan in
+// ph_sanitize_smoke, so an out-of-bounds read in a parser aborts there.
 #include "obs/json.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/export.hpp"
+#include "obs/expo.hpp"
+#include "obs/prof.hpp"
 #include "sim/rng.hpp"
 
 namespace ph::obs::json {
@@ -126,13 +131,16 @@ const Mutation kMutations[] = {
      }},
 };
 
-std::vector<std::string> seed_documents() {
+/// Every file with extension `ext` under the source-relative `dirs`,
+/// sorted by path.
+std::vector<std::string> read_documents(std::initializer_list<const char*> dirs,
+                                        const char* ext) {
   namespace fs = std::filesystem;
   std::vector<fs::path> paths;
-  for (const char* dir : {"/bench/baselines", "/tests/obs/json_check/metrics"}) {
+  for (const char* dir : dirs) {
     for (const auto& entry :
          fs::directory_iterator(std::string(PH_SOURCE_DIR) + dir)) {
-      if (entry.path().extension() == ".json") paths.push_back(entry.path());
+      if (entry.path().extension() == ext) paths.push_back(entry.path());
     }
   }
   std::sort(paths.begin(), paths.end());
@@ -144,6 +152,28 @@ std::vector<std::string> seed_documents() {
     docs.push_back(text.str());
   }
   return docs;
+}
+
+std::vector<std::string> seed_documents() {
+  return read_documents({"/bench/baselines", "/tests/obs/json_check/metrics"},
+                        ".json");
+}
+
+/// Runs `check` on every document and on 60 mutations of each.
+template <typename Check>
+void fuzz(const std::vector<std::string>& docs, const Mutation& mutation,
+          Check check) {
+  sim::Rng rng(0x6a736f6e);
+  for (const std::string& doc : docs) {
+    ASSERT_NO_FATAL_FAILURE(check(doc));
+    if (doc.empty()) continue;
+    for (int round = 0; round < 60; ++round) {
+      std::string mutated = doc;
+      mutation.apply(mutated, rng);
+      ASSERT_NO_FATAL_FAILURE(check(mutated)) << mutation.name << ":\n"
+                                              << mutated;
+    }
+  }
 }
 
 // Whatever parses must serialize to text that parses back to the same
@@ -163,16 +193,63 @@ class JsonFuzz : public ::testing::TestWithParam<Mutation> {};
 TEST_P(JsonFuzz, MutatedDocumentsNeverCrashAndRoundTrip) {
   const std::vector<std::string> docs = seed_documents();
   ASSERT_GE(docs.size(), 30u);  // the baselines plus the checker fixtures
-  sim::Rng rng(0x6a736f6e);
-  for (const std::string& doc : docs) {
-    ASSERT_NO_FATAL_FAILURE(expect_round_trip(doc));
-    if (doc.empty()) continue;
-    for (int round = 0; round < 60; ++round) {
-      std::string mutated = doc;
-      GetParam().apply(mutated, rng);
-      ASSERT_NO_FATAL_FAILURE(expect_round_trip(mutated));
-    }
+  fuzz(docs, GetParam(), expect_round_trip);
+}
+
+// A metrics dump metrics_from_json accepts survives the exposition format:
+// rendered, parsed back and rendered again, every counter, gauge, histogram
+// count, sum, bound and bucket is unchanged, and the text is a fixed point
+// (the exposition recomputes quantiles from the buckets).
+void expect_metrics_survive_exposition(const std::string& doc) {
+  Value root;
+  if (!parse(doc, root)) return;
+  const Result<ExpoDoc> metrics = metrics_from_json(root);
+  if (!metrics.ok()) return;
+  const std::string text = render_exposition(*metrics);
+  const Result<ExpoDoc> again = parse_exposition(text);
+  ASSERT_TRUE(again.ok()) << again.error().to_string() << "\n" << text;
+  ASSERT_EQ(again->counters, metrics->counters);
+  ASSERT_EQ(again->gauges, metrics->gauges);
+  ASSERT_EQ(again->histograms.size(), metrics->histograms.size());
+  for (const auto& [name, hist] : metrics->histograms) {
+    const ExpoDoc::Hist& back = again->histograms.at(name);
+    ASSERT_EQ(back.count, hist.count) << name;
+    ASSERT_EQ(back.sum, hist.sum) << name;
+    ASSERT_EQ(back.bounds, hist.bounds) << name;
+    ASSERT_EQ(back.bucket_counts, hist.bucket_counts) << name;
   }
+  ASSERT_EQ(render_exposition(*again), text);
+}
+
+TEST_P(JsonFuzz, MutatedMetricsDumpsSurviveTheExposition) {
+  const std::vector<std::string> docs =
+      read_documents({"/tests/obs/json_check/metrics"}, ".json");
+  ASSERT_GE(docs.size(), 20u);
+  fuzz(docs, GetParam(), expect_metrics_survive_exposition);
+}
+
+// A folded profile parse_folded accepts renders back to the same profile,
+// and merging it with itself doubles every count.
+void expect_folded_round_trip_and_merge(const std::string& doc) {
+  const Result<prof::FoldedProfile> profile = prof::parse_folded(doc);
+  if (!profile.ok()) return;
+  const std::string text = prof::render_folded(*profile);
+  const Result<prof::FoldedProfile> again = prof::parse_folded(text);
+  ASSERT_TRUE(again.ok()) << again.error().to_string() << "\n" << text;
+  ASSERT_EQ(*again, *profile);
+  prof::FoldedProfile doubled = *profile;
+  prof::merge_folded(doubled, doubled);
+  ASSERT_EQ(doubled.size(), profile->size());
+  for (const auto& [stack, count] : *profile) {
+    ASSERT_EQ(doubled.at(stack), 2 * count) << stack;
+  }
+}
+
+TEST_P(JsonFuzz, MutatedFoldedProfilesRoundTripAndMerge) {
+  const std::vector<std::string> docs =
+      read_documents({"/tests/obs/json_check/folded"}, ".folded");
+  ASSERT_GE(docs.size(), 5u);
+  fuzz(docs, GetParam(), expect_folded_round_trip_and_merge);
 }
 
 INSTANTIATE_TEST_SUITE_P(Mutations, JsonFuzz, ::testing::ValuesIn(kMutations),

@@ -194,6 +194,31 @@ TEST(ProfFolded, ParseRejectsMalformedLines) {
   EXPECT_TRUE(parse_folded("\n\n").ok());
 }
 
+// A count past 2^64-1 used to wrap silently to a small number.
+TEST(ProfFolded, ParseRejectsACountPast64Bits) {
+  const auto max = parse_folded("stack 18446744073709551615\n");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max.value().at("stack"), ~std::uint64_t{0});
+  const auto past = parse_folded("stack 18446744073709551616\n");
+  ASSERT_FALSE(past.ok());
+  EXPECT_NE(past.error().message.find("overflows"), std::string::npos)
+      << past.error().message;
+  EXPECT_FALSE(parse_folded("stack 99999999999999999999\n").ok());
+}
+
+// Merging a profile into itself doubles it; a sum past 2^64-1 saturates
+// instead of wrapping, and so do duplicate lines.
+TEST(ProfFolded, MergeIntoItselfDoublesAndSaturates) {
+  FoldedProfile profile = parse_folded("a 3\nb 18446744073709551615\n").value();
+  merge_folded(profile, profile);
+  EXPECT_EQ(profile.at("a"), 6u);
+  EXPECT_EQ(profile.at("b"), ~std::uint64_t{0});
+  const auto twice =
+      parse_folded("b 18446744073709551615\nb 18446744073709551615\n");
+  ASSERT_TRUE(twice.ok());
+  EXPECT_EQ(twice.value().at("b"), ~std::uint64_t{0});
+}
+
 TEST(ProfFolded, MergeIsAssociativeAndCommutative) {
   const auto a = parse_folded("main;a 1\nmain;b 2\n").value();
   const auto b = parse_folded("main;b 3\nworker;c 4\n").value();

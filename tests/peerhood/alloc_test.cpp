@@ -11,7 +11,9 @@
 //   * a service query/reply exchange allocates nothing beyond the scan
 //     that triggers it;
 //   * an open Connection allocates at most once per message sent: the
-//     unacked copy the session keeps for retransmission.
+//     unacked copy the session keeps for retransmission;
+//   * opening a Connection (connect, accept, first message and its echo)
+//     stays within a fixed budget.
 //
 // A failure prints the per-center table, so a regression names its layer.
 //
@@ -275,6 +277,45 @@ TEST_F(ControlPlaneAllocation, ConnectionRoundTripAllocatesOnlyUnackedCopies) {
   EXPECT_EQ(at(allocations, Center::unattributed),
             static_cast<std::size_t>(kRoundTrips))
       << table(allocations);
+}
+
+TEST_F(ControlPlaneAllocation, OpeningAConnectionStaysWithinBudget) {
+  ConnectOptions options;
+  options.monitor_interval = sim::Duration{1} << 19;
+  const Bytes payload(64, 0x5a);
+  // Connect, accept, then the first message and its echo.
+  const auto open_and_exchange = [&](Connection& client, int& echoes) {
+    a_->library().connect(b_->id(), "Echo", options,
+                          [&](Result<Connection> connection) {
+                            ASSERT_TRUE(connection.ok());
+                            client = *connection;
+                            client.on_message([&](BytesView) { ++echoes; });
+                            client.send(payload);
+                          });
+    ASSERT_TRUE(testutil::run_until(
+        simulator_, [&] { return echoes == 1; }, sim::seconds(5)));
+  };
+  // Warm: one connection opened, used and closed, then the ping rounds.
+  {
+    Connection warm;
+    int echoes = 0;
+    open_and_exchange(warm, echoes);
+    warm.close();
+    server_.close();
+    simulator_.run_for(kWarmUp);
+  }
+
+  Connection client;
+  int echoes = 0;
+  const AllocationWindow window;
+  open_and_exchange(client, echoes);
+  const auto allocations = window.take();
+  // Sessions, handshake and the two unacked copies cost what they cost;
+  // the budget pins the channel underneath: both sides of a link share
+  // one allocation, and installing a handler on a side wraps nothing.
+  EXPECT_LE(total(allocations), 24u) << table(allocations);
+  client.close();
+  server_.close();
 }
 
 }  // namespace
