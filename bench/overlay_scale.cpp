@@ -12,8 +12,8 @@
 //   * control traffic per device-minute (inquiries, service queries, pings)
 //   * total radio bytes per device-minute
 //   * simulator cost: pair signal() evaluations, spatial-index pruning,
-//     position-cache hit rate, and wall-clock throughput (sim-seconds per
-//     wall-second, events per second)
+//     position-cache hit rate, and wall-clock speed (sim-seconds per
+//     wall-second, printed only: the metrics dump stays deterministic)
 //
 // CLI (all optional):
 //   --devices=5,10,20,40   crowd sizes to sweep; `none` skips the classic
@@ -91,9 +91,7 @@ struct Metrics {
   std::uint64_t signal_evals = 0;
   std::uint64_t pairs_pruned = 0;
   double cache_hit_rate = 0;
-  double wall_s = 0;
-  double sim_s_per_wall_s = 0;
-  double events_per_sec = 0;
+  double sim_s_per_wall_s = 0;  ///< stdout only: wall time never reaches a dump
 };
 
 double field_for(const Options& options, int devices) {
@@ -187,15 +185,12 @@ Metrics run_crowd(const Options& options, int devices, obs::Registry& dump) {
       hits + misses == 0
           ? 0.0
           : static_cast<double>(hits) / static_cast<double>(hits + misses);
-  metrics.wall_s = wall_s;
   metrics.sim_s_per_wall_s =
       wall_s > 0 ? sim::to_seconds(window) / wall_s : 0.0;
-  metrics.events_per_sec =
-      wall_s > 0 ? static_cast<double>(simulator.events_executed()) / wall_s
-                 : 0.0;
 
   // Aggregate world counters across runs, plus one per-N scaling record —
   // the shape the BENCH_*.json trajectory and ph_overlay_scale_smoke read.
+  // Only deterministic values: the wall speed stays in the stdout table.
   dump.merge_from(medium.registry());
   const std::string prefix = "bench.overlay.n" + std::to_string(devices) + ".";
   dump.gauge(prefix + "group_events_per_device_min")
@@ -211,10 +206,6 @@ Metrics run_crowd(const Options& options, int devices, obs::Registry& dump) {
       .inc(world.counter("signal_cache.hits"));
   dump.gauge(prefix + "position_cache_hit_rate").set(metrics.cache_hit_rate);
   dump.gauge(prefix + "field_m").set(field);
-  dump.gauge(prefix + "wall_s").set(metrics.wall_s);
-  dump.gauge(prefix + "sim_seconds_per_wall_second")
-      .set(metrics.sim_s_per_wall_s);
-  dump.gauge(prefix + "events_per_sec").set(metrics.events_per_sec);
   return metrics;
 }
 

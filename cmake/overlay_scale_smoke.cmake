@@ -29,7 +29,7 @@ run_checked("ph_obs_json_check(overlay_scale)"
   counter:bench.overlay.n12.signal_evals
   gauge:bench.overlay.n12.group_events_per_device_min
   gauge:bench.overlay.n12.position_cache_hit_rate
-  gauge:bench.overlay.n12.sim_seconds_per_wall_second
+  counter:bench.overlay.n12.spatial_pairs_pruned
   counter_nonzero:net.medium.spatial.queries
   counter_nonzero:net.medium.spatial.rebuilds
   counter_nonzero:net.medium.spatial.pairs_pruned

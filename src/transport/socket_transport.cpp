@@ -29,14 +29,19 @@ namespace ph::transport {
 
 namespace {
 
-/// Appends everything the kernel holds for `fd` to `in`. False once the
-/// peer is gone (EOF or a hard error); what it sent before that is in `in`.
-bool recv_into(int fd, proto::FrameStream& in) {
+/// Appends what the kernel holds for `fd` to `in`, counting each recv(2)
+/// in `calls`. Stops after a read shorter than the buffer: every fd is
+/// watched level-triggered, so bytes still queued (or an EOF) wake the
+/// next epoll_wait. False once the peer is gone (EOF or a hard error); what
+/// it sent before that is in `in`.
+bool recv_into(int fd, proto::FrameStream& in, obs::Counter& calls) {
   std::uint8_t buf[16384];
   for (;;) {
+    calls.inc();
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n > 0) {
       in.append(BytesView(buf, static_cast<std::size_t>(n)));
+      if (static_cast<std::size_t>(n) < sizeof(buf)) return true;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
@@ -85,6 +90,14 @@ DeviceId parse_dgram_entry(const std::string& name, net::Technology tech) {
 
 }  // namespace
 
+template <typename Fn>
+void SocketTransport::dispatch(Fn&& handler) {
+  ++dispatch_depth_;
+  handler();
+  --dispatch_depth_;
+  flush_unflushed();
+}
+
 // ---------------------------------------------------------------------------
 // WallScheduler — virtual microseconds over the wall clock + epoll pump.
 // ---------------------------------------------------------------------------
@@ -128,34 +141,22 @@ class SocketTransport::WallScheduler final : public Scheduler {
 
   bool pending(sim::EventId id) const override { return due_.contains(id); }
 
-  /// Alternates running due timers with epoll waits whose wall timeout is
-  /// the earlier of `until` and the next timer, both mapped back through
-  /// the time scale. Socket readiness wakes the wait early, so I/O is
-  /// handled as the kernel delivers it, not on timer granularity.
+  /// Alternates rounds of due timers with epoll waits whose wall timeout
+  /// is the earlier of `until` and the next timer, both mapped back
+  /// through the time scale. Socket readiness wakes the wait early, so I/O
+  /// is handled as the kernel delivers it, not on timer granularity. A
+  /// round runs only the timers that were due, and already scheduled, when
+  /// it started, and the sockets are polled after every round that ran
+  /// one: timers that stay due (a host slower than the time scale) cannot
+  /// starve the sockets or keep run_until from returning.
   void run_until(sim::Time until) override {
     for (;;) {
-      while (!timers_.empty() && timers_.begin()->first.first <= now()) {
-        auto node = timers_.extract(timers_.begin());
-        due_.erase(node.key().second);
-        Timer timer = std::move(node.mapped());
-        // Loop lag: how far past its due point the timer actually fired,
-        // reported in WALL microseconds (virtual lag unscaled). A loaded
-        // or stalled loop shows up here before anything times out.
-        const sim::Time lag_virtual = now() - node.key().first;
-        transport_.h_loop_lag_->observe(static_cast<double>(lag_virtual) /
-                                        scale_);
-        const std::uint64_t t0 = transport_.wall_clock_.now();
-        current_tag_ = timer.tag;
-        {
-          const obs::prof::Scope span(timer.tag);
-          timer.fn();
-        }
-        current_tag_ = 0;
-        transport_.h_loop_dispatch_->observe(
-            static_cast<double>(transport_.wall_clock_.now() - t0));
-      }
+      const bool fired = run_due_round();
       const sim::Time current = now();
-      if (current >= until) return;
+      if (current >= until) {
+        if (fired) transport_.pump_epoll(0);
+        return;
+      }
       sim::Time wake = until;
       if (!timers_.empty()) {
         wake = std::min(wake, timers_.begin()->first.first);
@@ -175,6 +176,40 @@ class SocketTransport::WallScheduler final : public Scheduler {
     sim::EventFn fn;
     std::uint8_t tag = 0;
   };
+
+  /// Fires the timers due at the round's start, in (due, id) order. A
+  /// timer scheduled during the round is due no earlier than the round's
+  /// start and sorts after every older timer with the same due point, so
+  /// the first one reached ends the round. True if any fired.
+  bool run_due_round() {
+    const sim::Time round_start = now();
+    const sim::EventId last_scheduled = next_id_;
+    bool fired = false;
+    while (!timers_.empty()) {
+      const auto [due, id] = timers_.begin()->first;
+      if (due > round_start || id > last_scheduled) break;
+      auto node = timers_.extract(timers_.begin());
+      due_.erase(id);
+      Timer timer = std::move(node.mapped());
+      // Loop lag: how far past its due point the timer actually fired,
+      // reported in WALL microseconds (virtual lag unscaled). A loaded
+      // or stalled loop shows up here before anything times out.
+      const sim::Time lag_virtual = now() - due;
+      transport_.h_loop_lag_->observe(static_cast<double>(lag_virtual) /
+                                      scale_);
+      const std::uint64_t t0 = transport_.wall_clock_.now();
+      current_tag_ = timer.tag;
+      {
+        const obs::prof::Scope span(timer.tag);
+        transport_.dispatch(timer.fn);
+      }
+      current_tag_ = 0;
+      transport_.h_loop_dispatch_->observe(
+          static_cast<double>(transport_.wall_clock_.now() - t0));
+      fired = true;
+    }
+    return fired;
+  }
 
   SocketTransport& transport_;
   double scale_;
@@ -221,6 +256,12 @@ class SocketTransport::SocketChannelState final
   void chan_send(BytesView payload) override;
   void chan_close() override;
 
+  /// Writes queued frames; called for each channel the dispatch queued.
+  void flush_queued() {
+    flush_queued_ = false;
+    flush();
+  }
+
   /// Registers with the epoll loop, taking over the stream the handshake
   /// was read from. The fd handler keeps the state alive (shared_ptr
   /// capture) until the channel closes or breaks — like a simulated link,
@@ -247,6 +288,9 @@ class SocketTransport::SocketChannelState final
   void handle_io(std::uint32_t events);
   void deliver_frames();
   void schedule_drain();
+  /// Frames were appended to out_: inside a dispatch, queue the channel
+  /// for the write when it returns; outside one, write now.
+  void frames_queued();
   void flush();
   void do_break();
 
@@ -258,6 +302,7 @@ class SocketTransport::SocketChannelState final
   bool want_write_ = false;
   bool peer_gone_ = false;     // EOF/hard error seen; break after delivery
   bool drain_pending_ = false; // a schedule(0) drain is already queued
+  bool flush_queued_ = false;  // on the transport's unflushed list
   proto::FrameStream in_;
   proto::Writer out_;          // frames are written here once, then sent
   std::size_t out_pos_ = 0;
@@ -278,7 +323,7 @@ void SocketTransport::SocketChannelState::chan_send(BytesView payload) {
   out_.raw(payload);
   transport_.metrics_.channel_messages->inc();
   transport_.metrics_.channel_bytes->inc(payload.size());
-  flush();
+  frames_queued();
 }
 
 void SocketTransport::SocketChannelState::send_ping(std::uint64_t wall_us) {
@@ -286,13 +331,24 @@ void SocketTransport::SocketChannelState::send_ping(std::uint64_t wall_us) {
   proto::begin_stream_frame(out_, proto::FrameKind::channel_ping, 8);
   out_.u64(wall_us);
   transport_.c_rtt_probes_->inc();
-  flush();
+  frames_queued();
+}
+
+void SocketTransport::SocketChannelState::frames_queued() {
+  if (transport_.dispatch_depth_ == 0) {
+    flush();
+    return;
+  }
+  if (flush_queued_) return;
+  flush_queued_ = true;
+  transport_.unflushed_.push_back(shared_from_this());
 }
 
 void SocketTransport::SocketChannelState::flush() {
   const Bytes& out = out_.data();
   while (open_ && out_pos_ < out.size()) {
     const std::size_t remaining = out.size() - out_pos_;
+    transport_.c_send_calls_->inc();
     const ssize_t n =
         ::send(fd_, out.data() + out_pos_, remaining, MSG_NOSIGNAL);
     if (n > 0) {
@@ -346,7 +402,7 @@ void SocketTransport::SocketChannelState::handle_io(std::uint32_t events) {
     // before closing are already in in_ and must be delivered in order
     // before the break (a graceful send-then-close must not lose its tail,
     // nor surface as connection_lost).
-    if (!recv_into(fd_, in_)) peer_gone_ = true;
+    if (!recv_into(fd_, in_, *transport_.c_recv_calls_)) peer_gone_ = true;
     deliver_frames();
     if (open_ && peer_gone_) {
       // Break deferred: data frames are buffered but no receive handler is
@@ -385,7 +441,7 @@ void SocketTransport::SocketChannelState::deliver_frames() {
       if (frame.payload.size() >= 8 && !peer_gone_) {
         proto::begin_stream_frame(out_, proto::FrameKind::channel_pong, 8);
         out_.raw(frame.payload.first(8));
-        flush();
+        frames_queued();
       }
       continue;
     }
@@ -437,6 +493,7 @@ void SocketTransport::SocketChannelState::chan_close() {
   // Push out whatever is queued without blocking; the peer then sees EOF.
   const Bytes& out = out_.data();
   while (out_pos_ < out.size()) {
+    transport_.c_send_calls_->inc();
     const ssize_t n = ::send(fd_, out.data() + out_pos_,
                              out.size() - out_pos_, MSG_NOSIGNAL);
     if (n <= 0) break;
@@ -559,6 +616,11 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   void settle_connect(int fd);
   void fail_connect(int fd, Error error);
   std::vector<DeviceId> scan_peers() const;
+  /// Writes the handshake frame built in out_ to `fd`, best effort.
+  void send_handshake(int fd) {
+    t_.c_send_calls_->inc();
+    (void)::send(fd, out_.data().data(), out_.data().size(), MSG_NOSIGNAL);
+  }
   /// Turns a settled handshake into a channel that takes over its fd and
   /// stream, and records the handshake latency.
   std::shared_ptr<SocketChannelState> adopt(int fd, DeviceId remote,
@@ -781,7 +843,7 @@ void SocketTransport::SocketEndpoint::settle_accept(int fd) {
   auto it = pending_accepts_.find(fd);
   if (it == pending_accepts_.end()) return;
   Handshake& pa = it->second;
-  if (!recv_into(fd, pa.in)) {
+  if (!recv_into(fd, pa.in, *t_.c_recv_calls_)) {
     drop_accept(fd);  // peer vanished before the handshake
     return;
   }
@@ -803,13 +865,13 @@ void SocketTransport::SocketEndpoint::settle_accept(int fd) {
   if (!powered_ || listener == listeners_.end()) {
     proto::begin_stream_frame(out_, proto::FrameKind::channel_reject, 1);
     out_.u8(static_cast<std::uint8_t>(Errc::connect_failed));
-    (void)::send(fd, out_.data().data(), out_.data().size(), MSG_NOSIGNAL);
+    send_handshake(fd);
     drop_accept(fd);
     return;
   }
   proto::begin_stream_frame(out_, proto::FrameKind::channel_accept, 4);
   out_.u32(device_);
-  (void)::send(fd, out_.data().data(), out_.data().size(), MSG_NOSIGNAL);
+  send_handshake(fd);
   AcceptHandler handler = listener->second;  // copy — may stop_listen inside
   auto settled = pending_accepts_.extract(it);
   auto state = adopt(fd, *src, settled.mapped());
@@ -847,7 +909,7 @@ void SocketTransport::SocketEndpoint::connect(DeviceId dst, net::Port port,
   proto::begin_stream_frame(out_, proto::FrameKind::channel_open, 6);
   out_.u32(device_);
   out_.u16(port);
-  (void)::send(fd, out_.data().data(), out_.data().size(), MSG_NOSIGNAL);
+  send_handshake(fd);
 
   auto [it, inserted] = pending_conns_.emplace(fd, PendingConn{});
   it->second.dst = dst;
@@ -878,7 +940,7 @@ void SocketTransport::SocketEndpoint::settle_connect(int fd) {
   // On EOF the peer may already have written a complete reject/accept frame
   // before closing (reject-then-close is the normal refusal shape), so parse
   // the buffered bytes first and only report unreachable if they are short.
-  const bool peer_gone = !recv_into(fd, pc.in);
+  const bool peer_gone = !recv_into(fd, pc.in, *t_.c_recv_calls_);
   const auto next = pc.in.peek();
   if (!next) {
     if (peer_gone) {
@@ -946,6 +1008,8 @@ SocketTransport::SocketTransport(SocketTransportConfig config)
   g_wait_stall_ = &registry_.gauge("transport.socket.loop.wait_stall_us");
   c_partial_writes_ = &registry_.counter("transport.socket.partial_writes");
   c_backpressure_ = &registry_.counter("transport.socket.backpressure");
+  c_send_calls_ = &registry_.counter("transport.socket.send_calls");
+  c_recv_calls_ = &registry_.counter("transport.socket.recv_calls");
   c_rtt_probes_ = &registry_.counter("transport.socket.rtt_probes");
 
   // This backend's journal stamps are wall-derived (virtual µs = wall µs ×
@@ -1063,10 +1127,19 @@ void SocketTransport::pump_epoll(int timeout_ms) {
     const std::uint64_t t0 = wall_clock_.now();
     {
       const obs::prof::Scope io(obs::prof::Center::transport_io);
-      (*handler)(events[i].events);
+      dispatch([&] { (*handler)(events[i].events); });
     }
     h_loop_dispatch_->observe(static_cast<double>(wall_clock_.now() - t0));
   }
+}
+
+void SocketTransport::flush_unflushed() {
+  // Indexed, and the list holds its channels: a flush may break a channel,
+  // and its break handler may drop or close any other channel.
+  for (std::size_t i = 0; i < unflushed_.size(); ++i) {
+    unflushed_[i]->flush_queued();
+  }
+  unflushed_.clear();
 }
 
 void SocketTransport::enable_telemetry() {

@@ -21,7 +21,9 @@
 // wall-clock during tests. Channels are reliable and ordered (SOCK_STREAM
 // carrying length-prefixed frames, read back by proto::FrameStream); a
 // reset, EOF or power-off surfaces as a channel *break*, exactly like a
-// simulated link losing radio contact.
+// simulated link losing radio contact. Frames a loop handler sends on a
+// channel are written when the handler returns, in one send(2) per
+// channel; a send from outside the loop is written at once.
 #pragma once
 
 #include <map>
@@ -128,6 +130,14 @@ class SocketTransport final : public Transport {
   /// wall dispatch time into the dispatch histogram.
   void pump_epoll(int timeout_ms);
 
+  /// Runs one loop handler (fd event or timer) as a dispatch: channel
+  /// frames it queues are written when it returns, one send(2) per
+  /// channel, and a send made outside any dispatch is written at once.
+  template <typename Fn>
+  void dispatch(Fn&& handler);
+  /// Writes every channel queued by the dispatch that just returned.
+  void flush_unflushed();
+
   /// Starts wall-clock telemetry: Sampler + SloEngine over the WallClock
   /// and a self-rescheduling scrape at config_.sample_interval_us.
   void enable_telemetry();
@@ -157,6 +167,9 @@ class SocketTransport final : public Transport {
   /// Shared so a dispatch holds the handler it runs without copying it.
   std::map<std::uint64_t, std::shared_ptr<const WatchHandler>> watch_handlers_;
   std::map<int, std::uint64_t> fd_tokens_;
+  int dispatch_depth_ = 0;  ///< > 0 while a loop handler runs
+  /// Channels holding frames queued by the running dispatch, each once.
+  std::vector<std::shared_ptr<SocketChannelState>> unflushed_;
 
   obs::Registry registry_;
   obs::Trace trace_;
@@ -179,6 +192,8 @@ class SocketTransport final : public Transport {
   obs::Gauge* g_wait_stall_ = nullptr;         ///< epoll_wait overshoot, µs
   obs::Counter* c_partial_writes_ = nullptr;
   obs::Counter* c_backpressure_ = nullptr;
+  obs::Counter* c_send_calls_ = nullptr;  ///< send(2) on stream fds
+  obs::Counter* c_recv_calls_ = nullptr;  ///< recv(2) on stream fds
   obs::Counter* c_rtt_probes_ = nullptr;
 
   // Wall-clock telemetry plane (config.sample_interval_us / ops_server).

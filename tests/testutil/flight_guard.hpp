@@ -6,14 +6,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "net/medium.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 
 namespace ph::testutil {
+
+/// The file a failing test's flight recording is dumped to, under gtest's
+/// temp dir. Parameterized names carry '/' (`Backends/TransportConformance`
+/// and `.../socket`), which would name a directory that does not exist, so
+/// every '/' becomes '_'.
+inline std::string flight_file_name(std::string_view suite,
+                                    std::string_view test) {
+  std::string name =
+      "flight_" + std::string(suite) + "." + std::string(test) + ".json";
+  std::replace(name.begin(), name.end(), '/', '_');
+  return name;
+}
 
 /// Enables ring-buffer tracing on a journal for the guard's lifetime. On
 /// destruction, if the current gtest test has a failure, the ring is
@@ -35,15 +49,14 @@ class FlightGuard {
 
   ~FlightGuard() {
     if (!::testing::Test::HasFailure()) return;
-    std::string name = "integration";
     const ::testing::TestInfo* info =
         ::testing::UnitTest::GetInstance()->current_test_info();
-    if (info != nullptr) {
-      name = std::string(info->test_suite_name()) + "." + info->name();
-    }
+    const std::string name =
+        info != nullptr
+            ? flight_file_name(info->test_suite_name(), info->name())
+            : std::string("flight_integration.json");
     obs::dump_flight_recording(trace_, "test_failure",
-                               ::testing::TempDir() + "flight_" + name +
-                                   ".json");
+                               ::testing::TempDir() + name);
   }
 
  private:

@@ -11,7 +11,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -755,6 +757,146 @@ TEST_F(SocketStreamPrefix, OversizePrefixBreaksAnEstablishedChannel) {
   ASSERT_TRUE(pump_until([&] { return broke; }));
   EXPECT_EQ(bad_frames(), 1u);
   EXPECT_EQ(received, 0u);
+}
+
+// A failing parameterized test keeps its flight recording: the suite and
+// test names carry '/', and the dump file is still one file in TempDir().
+TEST(FlightGuard, ParameterizedNamesMakeOneFileName) {
+  const std::string name = testutil::flight_file_name(
+      "Backends/TransportConformance", "PowerOffBreaksChannels/socket");
+  EXPECT_EQ(name,
+            "flight_Backends_TransportConformance.PowerOffBreaksChannels_"
+            "socket.json");
+  obs::Trace trace;
+  trace.set_enabled(true);
+  trace.end_span(trace.begin_span("test.span", 1, 1, "test"), 2);
+  const std::string path = ::testing::TempDir() + name;
+  EXPECT_TRUE(obs::dump_flight_recording(trace, "test_failure", path));
+  EXPECT_EQ(::unlink(path.c_str()), 0);
+}
+
+// Socket-only: what one request/reply exchange costs the kernel. Frames a
+// loop handler sends on a channel leave in one send(2) when it returns, so
+// a session's reply rides with its ack, and the next request with the
+// reply's ack; a read shorter than the buffer ends the recv loop. A send
+// from outside the loop is written before it returns.
+TEST(SocketSyscalls, RequestReplyCostsOneSendAndOneRecvPerSide) {
+  using peerhood::Connection;
+  using peerhood::Stack;
+  using peerhood::StackConfig;
+
+  SocketWorld world;
+  Transport& transport = world.transport();
+  peerhood::DaemonConfig daemon_config;
+  daemon_config.inquiry_interval = sim::seconds(1);
+  daemon_config.ping_interval = sim::milliseconds(500);
+  daemon_config.reply_timeout = sim::milliseconds(200);
+  Stack alpha(StackConfig{}
+                  .with_name("alpha")
+                  .with_radios({quick_bt()})
+                  .with_daemon(daemon_config)
+                  .with_transport(transport));
+  Stack beta(StackConfig{}
+                 .with_name("beta")
+                 .with_radios({quick_bt()})
+                 .with_daemon(daemon_config)
+                 .with_transport(transport));
+
+  // beta answers every request with its profile, as a community host does.
+  std::vector<std::shared_ptr<Connection>> held;
+  ASSERT_TRUE(bool(beta.library().register_service(
+      "profile", {}, [&](Connection connection) {
+        auto conn = std::make_shared<Connection>(connection);
+        held.push_back(conn);
+        conn->on_message(
+            [conn](BytesView) { conn->send(to_bytes("profile of beta")); });
+      })));
+
+  Scheduler& s = transport.scheduler();
+  const auto pump_until = [&](auto pred) {
+    const sim::Time deadline = s.now() + sim::seconds(30);
+    while (!pred() && s.now() < deadline) {
+      s.run_until(std::min(deadline, s.now() + sim::milliseconds(100)));
+    }
+    return pred();
+  };
+  ASSERT_TRUE(pump_until(
+      [&] { return !alpha.library().find_service("profile").empty(); }));
+  Connection conn;
+  alpha.library().connect(beta.id(), "profile", {},
+                          [&](Result<Connection> result) {
+                            ASSERT_TRUE(bool(result))
+                                << result.error().to_string();
+                            conn = *result;
+                          });
+  ASSERT_TRUE(pump_until([&] { return conn.valid(); }));
+
+  constexpr int kRoundTrips = 100;
+  const Bytes request = to_bytes("profile?");
+  int replies = 0;
+  conn.on_message([&](BytesView reply) {
+    EXPECT_EQ(to_text(reply), "profile of beta");
+    if (++replies < kRoundTrips) conn.send(request);
+  });
+  obs::Counter& sends =
+      transport.registry().counter("transport.socket.send_calls");
+  obs::Counter& recvs =
+      transport.registry().counter("transport.socket.recv_calls");
+  const std::uint64_t sends_before = sends.value();
+  const std::uint64_t recvs_before = recvs.value();
+
+  conn.send(request);
+  EXPECT_EQ(sends.value(), sends_before + 1)
+      << "a send outside the loop must be written before it returns";
+  ASSERT_TRUE(pump_until([&] { return replies == kRoundTrips; }));
+
+  // Each exchange is one write and one read per side; the client's ack of
+  // the last reply (and the server reading it) come on top. Writing every
+  // frame at once and reading to EAGAIN took about twice the budget.
+  constexpr std::uint64_t kAllowance = 8;
+  EXPECT_LE(sends.value() - sends_before, 2u * kRoundTrips + kAllowance);
+  EXPECT_LE(recvs.value() - recvs_before, 2u * kRoundTrips + kAllowance);
+
+  conn.close();
+  pump_until([&] { return held.size() == 1 && !held[0]->open(); });
+  for (auto& c : held) c->close();  // break the reply handlers' cycles
+}
+
+// Socket-only: a timer that stays due cannot starve the loop. At 1000x one
+// virtual millisecond is one wall microsecond, so a timer that re-arms
+// every millisecond and works a few microseconds is due again before it
+// returns. run_until must still return, and service the sockets meanwhile.
+TEST(SocketLoop, RunUntilReturnsWhileATimerStaysDue) {
+  SocketTransport transport{[] {
+    SocketTransportConfig config;
+    config.time_scale = 1000.0;
+    config.seed = 7;
+    return config;
+  }()};
+  const DeviceId a = transport.add_device("a", nullptr);
+  const DeviceId b = transport.add_device("b", nullptr);
+  Endpoint& ea = transport.add_endpoint(a, quick_wlan());
+  Endpoint& eb = transport.add_endpoint(b, quick_wlan());
+  int received = 0;
+  eb.bind(4000, [&](DeviceId, BytesView) { ++received; });
+
+  Scheduler& s = transport.scheduler();
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    ++ticks;
+    s.schedule(sim::milliseconds(1), tick);
+    // Work past the re-armed timer's due point: it is due on return.
+    const auto busy_until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(5);
+    while (std::chrono::steady_clock::now() < busy_until) {
+    }
+  };
+  s.schedule(sim::milliseconds(1), tick);
+  ea.send_datagram(b, 4000, to_bytes("hello"));
+
+  s.run_until(s.now() + sim::milliseconds(100));
+  EXPECT_GT(ticks, 0);
+  EXPECT_EQ(received, 1) << "the sockets were starved";
 }
 
 }  // namespace
