@@ -6,10 +6,11 @@
 // Medium's delivery closures (this + endpoints + span id + payload handle
 // ≈ 60–90 bytes), so steady-state scheduling heap-allocated one closure
 // per event. EventFn inlines up to kInlineSize bytes of capture state in
-// the queue entry itself; only outsized closures (link-open continuations
-// that carry a whole TechProfile) fall back to the heap. The allocation
-// test (tests/sim/alloc_test.cpp) interposes operator new to assert
-// the steady-state event loop performs zero allocations per event.
+// the queue's closure cell itself; only outsized closures (link-open
+// continuations that carry a whole TechProfile) fall back to the heap.
+// The allocation test (tests/sim/alloc_test.cpp) interposes operator new
+// to assert the steady-state event loop performs zero allocations per
+// event.
 //
 // Unlike std::function it is move-only (captured payloads need no copy),
 // but like std::function it may be invoked repeatedly — periodic tasks
@@ -28,8 +29,8 @@ class EventFn {
  public:
   /// Inline capture capacity. Sized so the hot networking closures
   /// (datagram/link-frame delivery: this pointer, endpoints, trace span,
-  /// pooled payload handle) stay in-queue, while keeping a queue entry at
-  /// two cache lines.
+  /// pooled payload handle) stay in their queue cell, which makes an
+  /// EventFn 112 bytes; the timer wheel moves only keys naming the cells.
   static constexpr std::size_t kInlineSize = 96;
 
   EventFn() noexcept = default;
@@ -77,7 +78,7 @@ class EventFn {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  /// True when the callable lives inline in the queue entry (no heap).
+  /// True when the callable lives inline in this EventFn (no heap).
   bool is_inline() const noexcept {
     return ops_ != nullptr && ops_->inline_storage;
   }
@@ -93,8 +94,7 @@ class EventFn {
   struct Ops {
     void (*invoke)(void* storage);
     /// Move-constructs the callable into `dst` from `src` and destroys the
-    /// source — the queue relocates entries during heap sifts and slot
-    /// cascades.
+    /// source — the queue moves it into its cell and out again to fire.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* storage) noexcept;
     bool inline_storage;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <new>
 
 namespace ph::sim {
 
@@ -73,23 +74,66 @@ void FlatIdSet::grow() {
 // --- TimerWheelQueue --------------------------------------------------------
 
 TimerWheelQueue::TimerWheelQueue(const FlatIdSet& live)
-    : live_(live),
-      slab_(std::allocator<QueueEntry>{}.allocate(kSlabEntries)) {
-  // Every slot starts with room for kSlotChunk entries, so a drifting
+    : live_(live), slab_(new Slab) {
+  // Every slot starts with room for kSlotChunk keys, so a drifting
   // periodic phase touching a fresh slot mid-run does not allocate and the
   // steady state stays allocation-free. The room is one slab, not a
   // reserve per slot, so building a Simulator costs a handful of
   // allocations instead of one per slot: short runs that build many worlds
   // (a Table-8 replication builds five) never touch most slots. Busier
   // slots grow past their chunk once and keep their high-water capacity.
+  QueueKey* const keys = reinterpret_cast<QueueKey*>(slab_->keys);
   slots_.reserve(kLevels * kSlots);
   for (std::size_t i = 0; i < kLevels * kSlots; ++i) {
     Slot& bucket = slots_.emplace_back(
-        SlotAllocator<QueueEntry>(slab_.get() + i * kSlotChunk));
+        SlotAllocator<QueueKey>(keys + i * kSlotChunk));
     bucket.reserve(kSlotChunk);
   }
+  cells_.push_back(reinterpret_cast<Cell*>(slab_->cells));
   due_.reserve(64);
   overflow_.reserve(64);
+}
+
+TimerWheelQueue::~TimerWheelQueue() {
+  // Closures still stored die in the order their keys are held: slot by
+  // slot, then the overflow heap, then the due heap.
+  for (const Slot& bucket : slots_) {
+    for (const QueueKey& key : bucket) cell(key.cell).fn.~EventFn();
+  }
+  for (const QueueKey& key : overflow_) cell(key.cell).fn.~EventFn();
+  for (const QueueKey& key : due_) cell(key.cell).fn.~EventFn();
+  for (std::size_t i = 1; i < cells_.size(); ++i) {
+    std::allocator<Cell>{}.deallocate(cells_[i], kCellChunk);
+  }
+}
+
+std::uint32_t TimerWheelQueue::store(EventFn&& fn) {
+  std::uint32_t index = free_cell_;
+  if (index != kNoCell) {
+    free_cell_ = cell(index).next_free;
+  } else {
+    if (cells_made_ == cells_.size() * kCellChunk) {
+      cells_.push_back(std::allocator<Cell>{}.allocate(kCellChunk));
+    }
+    index = cells_made_++;
+  }
+  ::new (static_cast<void*>(&cell(index).fn)) EventFn(std::move(fn));
+  return index;
+}
+
+void TimerWheelQueue::release(std::uint32_t index) noexcept {
+  Cell& c = cell(index);
+  c.fn.~EventFn();
+  c.next_free = free_cell_;
+  free_cell_ = index;
+}
+
+bool TimerWheelQueue::discard_if_dead(const QueueKey& key) noexcept {
+  if (live_.contains(key.id)) return false;
+  release(key.cell);
+  --stored_;
+  if (dead_ > 0) --dead_;
+  return true;
 }
 
 void TimerWheelQueue::set_bit(unsigned level, unsigned index) noexcept {
@@ -115,35 +159,35 @@ int TimerWheelQueue::next_occupied(unsigned level,
   }
 }
 
-void TimerWheelQueue::push_due(QueueEntry&& entry) {
-  due_.push_back(std::move(entry));
+void TimerWheelQueue::push_due(const QueueKey& key) {
+  due_.push_back(key);
   std::push_heap(due_.begin(), due_.end(), QueueLater{});
 }
 
-void TimerWheelQueue::place(QueueEntry&& entry) {
-  if (entry.when < wheel_time_) {
+void TimerWheelQueue::place(const QueueKey& key) {
+  if (key.when < wheel_time_) {
     // Its window was already drained; the due heap establishes its order
-    // against the entries drained with it.
-    push_due(std::move(entry));
+    // against the keys drained with it.
+    push_due(key);
     return;
   }
   for (unsigned level = 0; level < kLevels; ++level) {
-    if ((entry.when >> page_shift(level)) == (wheel_time_ >> page_shift(level))) {
+    if ((key.when >> page_shift(level)) == (wheel_time_ >> page_shift(level))) {
       const unsigned index =
-          static_cast<unsigned>(entry.when >> level_shift(level)) &
+          static_cast<unsigned>(key.when >> level_shift(level)) &
           (kSlots - 1);
-      slot(level, index).push_back(std::move(entry));
+      slot(level, index).push_back(key);
       set_bit(level, index);
       return;
     }
   }
-  overflow_.push_back(std::move(entry));
+  overflow_.push_back(key);
   std::push_heap(overflow_.begin(), overflow_.end(), QueueLater{});
 }
 
 void TimerWheelQueue::push(Time when, EventId id, EventFn fn,
                            std::uint8_t tag) {
-  place(QueueEntry{when, id, tag, std::move(fn)});
+  place(QueueKey{when, id, store(std::move(fn)), tag});
   ++stored_;
 }
 
@@ -152,28 +196,18 @@ void TimerWheelQueue::drain_overflow() {
   while (!overflow_.empty() &&
          (overflow_.front().when >> top_shift) == (wheel_time_ >> top_shift)) {
     std::pop_heap(overflow_.begin(), overflow_.end(), QueueLater{});
-    QueueEntry entry = std::move(overflow_.back());
+    const QueueKey key = overflow_.back();
     overflow_.pop_back();
-    if (!live_.contains(entry.id)) {
-      --stored_;
-      if (dead_ > 0) --dead_;
-      continue;
-    }
-    place(std::move(entry));
+    if (!discard_if_dead(key)) place(key);
   }
 }
 
 void TimerWheelQueue::cascade(unsigned level, unsigned index) {
   Slot& bucket = slot(level, index);
-  // Take the bucket before re-placing: place() only touches levels below
-  // this one (the entries now share the lower page with wheel_time_).
-  for (QueueEntry& entry : bucket) {
-    if (!live_.contains(entry.id)) {
-      --stored_;
-      if (dead_ > 0) --dead_;
-      continue;
-    }
-    place(std::move(entry));
+  // Walk the bucket while re-placing: place() only touches levels below
+  // this one (the keys now share the lower page with wheel_time_).
+  for (const QueueKey& key : bucket) {
+    if (!discard_if_dead(key)) place(key);
   }
   bucket.clear();
   clear_bit(level, index);
@@ -208,13 +242,8 @@ bool TimerWheelQueue::advance(Time until) {
         if (slot_start > until) return false;
         Slot& bucket = slot(0, static_cast<unsigned>(found));
         wheel_time_ = (slot_tick + 1) << kTickShift;
-        for (QueueEntry& entry : bucket) {
-          if (!live_.contains(entry.id)) {
-            --stored_;
-            if (dead_ > 0) --dead_;
-            continue;
-          }
-          push_due(std::move(entry));
+        for (const QueueKey& key : bucket) {
+          if (!discard_if_dead(key)) push_due(key);
         }
         bucket.clear();
         clear_bit(0, static_cast<unsigned>(found));
@@ -284,17 +313,20 @@ bool TimerWheelQueue::advance(Time until) {
 
 bool TimerWheelQueue::pop_next(Time until, QueueEntry& out) {
   for (;;) {
-    while (!due_.empty() && !live_.contains(due_.front().id)) {
+    while (!due_.empty() && discard_if_dead(due_.front())) {
       std::pop_heap(due_.begin(), due_.end(), QueueLater{});
       due_.pop_back();
-      --stored_;
-      if (dead_ > 0) --dead_;
     }
     if (!due_.empty()) {
       if (due_.front().when > until) return false;
       std::pop_heap(due_.begin(), due_.end(), QueueLater{});
-      out = std::move(due_.back());
+      const QueueKey key = due_.back();
       due_.pop_back();
+      out.when = key.when;
+      out.id = key.id;
+      out.tag = key.tag;
+      out.fn = std::move(cell(key.cell).fn);
+      release(key.cell);
       --stored_;
       return true;
     }
@@ -304,23 +336,23 @@ bool TimerWheelQueue::pop_next(Time until, QueueEntry& out) {
 }
 
 void TimerWheelQueue::compact() {
-  const auto is_dead = [this](const QueueEntry& e) {
-    return !live_.contains(e.id);
+  // discard_if_dead uncounts each key it drops; dead_ is zeroed anyway
+  // since every cancelled key is reached here.
+  const auto is_dead = [this](const QueueKey& key) {
+    return discard_if_dead(key);
   };
-  std::size_t removed = 0;
-  removed += std::erase_if(due_, is_dead);
+  std::erase_if(due_, is_dead);
   std::make_heap(due_.begin(), due_.end(), QueueLater{});
-  removed += std::erase_if(overflow_, is_dead);
+  std::erase_if(overflow_, is_dead);
   std::make_heap(overflow_.begin(), overflow_.end(), QueueLater{});
   for (unsigned level = 0; level < kLevels; ++level) {
     for (unsigned index = 0; index < kSlots; ++index) {
       Slot& bucket = slot(level, index);
       if (bucket.empty()) continue;
-      removed += std::erase_if(bucket, is_dead);
+      std::erase_if(bucket, is_dead);
       if (bucket.empty()) clear_bit(level, index);
     }
   }
-  stored_ -= removed;
   dead_ = 0;
 }
 

@@ -10,7 +10,7 @@
 //
 // TimerWheelQueue has 3 levels × 256 slots over a 1.024 ms base tick
 // (level spans: 0.26 s / 67 s / 4.77 h) and an overflow min-heap beyond.
-// A slot holds its entries unordered; when the wheel reaches a slot, the
+// A slot holds its keys unordered; when the wheel reaches a slot, the
 // whole slot is moved into a small (when, id)-ordered "due" heap that
 // establishes the exact global order. Everything strictly before
 // `drained_before()` lives in that heap — the invariant that makes firing
@@ -18,12 +18,32 @@
 // binary heap in tests/sim/event_queue_property_test.cpp checks this in
 // lockstep).
 //
+// Slots, the due heap and the overflow heap hold 24-byte QueueKeys, not
+// events. Each key names a cell of a free-listed closure table the queue
+// owns; the EventFn (112 bytes) stays in its cell from push() until the
+// event fires, when pop_next() moves it out and frees the cell. Slot
+// growth, cascades and heap sifts therefore move keys only, and a slot's
+// retained high-water capacity costs 24 bytes per key. The table grows
+// in fixed chunks that never move, and no reference into it outlives a
+// pop_next() call, so events may schedule freely from inside a dispatch.
+//
 // Events are ordered by (when, id) where id is the insertion sequence, so
 // equal timestamps fire FIFO — the determinism contract ph_chaos_
 // determinism byte-compares. Cancellation is lazy (the Simulator's live
-// set is the source of truth); dead entries are dropped when reached and
-// compacted away once they dominate, mirroring the Medium's dead-link
+// set is the source of truth): a cancelled key is dropped, and its
+// closure destroyed, when the wheel reaches it, or when keys are
+// compacted once dead ones dominate, mirroring the Medium's dead-link
 // policy (dead >= 32 && 2*dead >= stored).
+//
+// The constructor makes one slab allocation holding every slot's first
+// kSlotChunk keys and the table's first chunk of closure cells (3,072 ×
+// (24 + 112) B ≈ 418 KB). It is one allocation on purpose, and it stays
+// above glibc's 128 KB mmap threshold: freeing an mmapped block raises
+// glibc's dynamic mmap and trim thresholds, so back-to-back short worlds
+// (a Table-8 replication builds five) keep their heap pages between
+// worlds. Without it every world teardown trims the heap and the next
+// world faults the pages back in, which perfbench table8 pays for in
+// system CPU (EXPERIMENTS.md "Timer wheel: keys, not events").
 #pragma once
 
 #include <array>
@@ -70,10 +90,11 @@ class FlatIdSet {
   std::size_t size_ = 0;
 };
 
-/// One stored event. `id` doubles as the insertion sequence number, so
-/// ordering by (when, id) is FIFO among equal timestamps. `tag` is the
-/// obs::prof cost-center byte attached at schedule time; it rides along
-/// so the dispatch loop can attribute the event without a lookup.
+/// One popped event, as pop_next() hands it to the dispatch loop. `id`
+/// doubles as the insertion sequence number, so ordering by (when, id) is
+/// FIFO among equal timestamps. `tag` is the obs::prof cost-center byte
+/// attached at schedule time; it rides along so the dispatch loop can
+/// attribute the event without a lookup.
 struct QueueEntry {
   Time when = 0;
   EventId id = 0;
@@ -81,10 +102,20 @@ struct QueueEntry {
   EventFn fn;
 };
 
+/// What the wheel's slots and heaps store for one event: its order, its
+/// cost-center tag and the index of the cell holding its closure.
+struct QueueKey {
+  Time when = 0;
+  EventId id = 0;
+  std::uint32_t cell = 0;
+  std::uint8_t tag = 0;
+};
+
 /// max-heap comparator that puts the earliest (when, id) on top of
 /// std::push_heap's max-heap.
 struct QueueLater {
-  bool operator()(const QueueEntry& a, const QueueEntry& b) const noexcept {
+  template <class E>
+  bool operator()(const E& a, const E& b) const noexcept {
     if (a.when != b.when) return a.when > b.when;
     return a.id > b.id;
   }
@@ -96,15 +127,16 @@ class TimerWheelQueue {
   /// `live` is the Simulator's id set — the authority on which stored
   /// entries are still scheduled. It must outlive the queue.
   explicit TimerWheelQueue(const FlatIdSet& live);
+  ~TimerWheelQueue();
   TimerWheelQueue(const TimerWheelQueue&) = delete;
   TimerWheelQueue& operator=(const TimerWheelQueue&) = delete;
 
-  /// Stores an entry.
+  /// Stores an entry: its closure in a free cell, its key in the wheel.
   void push(Time when, EventId id, EventFn fn, std::uint8_t tag = 0);
 
-  /// Moves the earliest live entry with when <= until into `out`; false
-  /// when there is none. Dead (cancelled) entries reached on the way are
-  /// discarded.
+  /// Moves the earliest live entry with when <= until into `out` and
+  /// frees its cell; false when there is none. Dead (cancelled) entries
+  /// reached on the way are discarded, their closures destroyed.
   bool pop_next(Time until, QueueEntry& out);
 
   /// Called by the Simulator after a successful cancel. Once dead entries
@@ -146,14 +178,33 @@ class TimerWheelQueue {
     return kTickShift + kSlotBits * (level + 1);
   }
 
-  /// Entries every slot has room for from construction on.
+  /// Keys every slot has room for from construction on.
   static constexpr std::size_t kSlotChunk = 4;
   static constexpr std::size_t kSlabEntries = kLevels * kSlots * kSlotChunk;
+  /// Closure cells per table chunk; the first chunk lives in the slab.
+  static constexpr std::size_t kCellChunk = kSlabEntries;
+  static constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
 
-  /// Allocator of one slot's vector. Each slot owns a fixed chunk of one
-  /// slab the queue allocates up front; the slot's first buffer (at most
-  /// kSlotChunk entries) is that chunk, and only growth past it reaches
-  /// the heap. The chunk is handed out once: after that every request,
+  /// One closure cell: the stored event's EventFn while its key is in the
+  /// wheel, the next free cell's index while on the free list. Cells are
+  /// only ever placed in raw chunk storage, never constructed whole.
+  union Cell {
+    ~Cell() {}
+    EventFn fn;
+    std::uint32_t next_free;
+  };
+
+  /// The one up-front allocation (see the file comment). Raw bytes: a
+  /// cell or key begins its life when it is first used.
+  struct Slab {
+    alignas(Cell) std::byte cells[kCellChunk * sizeof(Cell)];
+    alignas(QueueKey) std::byte keys[kSlabEntries * sizeof(QueueKey)];
+  };
+
+  /// Allocator of one slot's vector. Each slot owns a fixed chunk of the
+  /// slab; the slot's first buffer (at most kSlotChunk keys) is that
+  /// chunk, and only growth past it reaches the heap. The chunk is handed
+  /// out once: after that every request,
   /// from this allocator or from a copy taken since, goes to the heap, so a
   /// shrink, swap or copy of a slot can never make two buffers share it.
   /// Every copy, rebound ones included, remembers the chunk so it never
@@ -197,21 +248,27 @@ class TimerWheelQueue {
     T* unused_ = nullptr;          // the chunk while not yet handed out
   };
 
-  using Slot = std::vector<QueueEntry, SlotAllocator<QueueEntry>>;
-
-  struct SlabDeleter {
-    void operator()(QueueEntry* slab) const noexcept {
-      std::allocator<QueueEntry>{}.deallocate(slab, kSlabEntries);
-    }
-  };
+  using Slot = std::vector<QueueKey, SlotAllocator<QueueKey>>;
 
   Slot& slot(unsigned level, unsigned index) noexcept {
     return slots_[level * kSlots + index];
   }
+  Cell& cell(std::uint32_t index) noexcept {
+    return cells_[index / kCellChunk][index % kCellChunk];
+  }
 
-  /// Files an entry into due/slot/overflow based on wheel_time_.
-  void place(QueueEntry&& entry);
-  void push_due(QueueEntry&& entry);
+  /// Moves `fn` into a free cell (growing the table by a chunk when none
+  /// is left) and returns the cell's index.
+  std::uint32_t store(EventFn&& fn);
+  /// Destroys the cell's closure and puts the cell on the free list.
+  void release(std::uint32_t index) noexcept;
+  /// Releases a cancelled key's cell and uncounts it; false (and nothing
+  /// done) if the key is still live.
+  bool discard_if_dead(const QueueKey& key) noexcept;
+
+  /// Files a key into due/slot/overflow based on wheel_time_.
+  void place(const QueueKey& key);
+  void push_due(const QueueKey& key);
   /// First occupied slot index >= from at `level`, or -1.
   int next_occupied(unsigned level, unsigned from) const noexcept;
   void set_bit(unsigned level, unsigned index) noexcept;
@@ -236,13 +293,16 @@ class TimerWheelQueue {
   std::size_t dead_ = 0;
   Time wheel_time_ = 0;  // slot-boundary; see drained_before()
   std::size_t stored_ = 0;
-  std::vector<QueueEntry> due_;       // (when, id) min-heap
-  std::vector<QueueEntry> overflow_;  // (when, id) min-heap, far future
-  /// Uninitialised storage for every slot's first kSlotChunk entries;
-  /// declared before slots_, whose entries live in it, so it is freed
-  /// after them.
-  std::unique_ptr<QueueEntry, SlabDeleter> slab_;
+  std::vector<QueueKey> due_;       // (when, id) min-heap
+  std::vector<QueueKey> overflow_;  // (when, id) min-heap, far future
+  /// Declared before slots_ and cells_, which point into it, so it is
+  /// freed after them.
+  std::unique_ptr<Slab> slab_;
   std::vector<Slot> slots_;  // kLevels × kSlots
+  /// Chunks of kCellChunk cells; cells_[0] is the slab's.
+  std::vector<Cell*> cells_;
+  std::uint32_t cells_made_ = 0;  // cells ever handed out (high-water)
+  std::uint32_t free_cell_ = kNoCell;
   std::array<std::uint64_t, kLevels * kWordsPerLevel> occupied_{};
 };
 

@@ -11,10 +11,11 @@
 // overflow heap for far-future timers, and a small (time, sequence)
 // ordered due-heap that preserves the exact FIFO tie-break order of the
 // previous binary heap — same seed, byte-identical run. Callbacks are
-// stored in a small-buffer-optimized EventFn directly inside the queue
-// entry, so steady-state schedule() performs zero heap allocations.
-// Cancellation stays lazy: cancel() drops the id from the live set, the
-// stale entry is discarded when reached, and entries are compacted once
+// small-buffer-optimized EventFns kept in the queue's free-listed closure
+// cells; the wheel itself moves only 24-byte keys naming those cells, so
+// steady-state schedule() performs zero heap allocations. Cancellation
+// stays lazy: cancel() drops the id from the live set, the stale key (and
+// its closure) is discarded when reached, and keys are compacted once
 // dead ones dominate (mirroring the Medium's dead-link policy).
 #pragma once
 

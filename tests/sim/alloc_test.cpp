@@ -12,6 +12,7 @@
 // Lives in its own binary: the interposer is process-global and must not
 // contaminate unrelated tests.
 
+#include <array>
 #include <cstdlib>
 #include <new>
 
@@ -109,6 +110,42 @@ TEST(SimulatorAllocation, SteadyStateSchedulesWithoutHeapAllocation) {
       << (allocations_after - allocations_before) << " heap allocations over "
       << events << " events";
   EXPECT_EQ(cancel_victims, 0u);
+}
+
+TEST(SimulatorAllocation, CancelRescheduleChurnAllocatesNothing) {
+  // The watchdog pattern: every tick each watchdog is cancelled and
+  // re-armed one level-1 window out with a payload-carrying closure. The
+  // cancelled keys wait in the wheel until compaction drops them and
+  // their closure cells return to the free list, so once the cell table
+  // and the slots reach their high water the churn allocates nothing.
+  // The 2^11 us tick is phase-locked to the wheel's windows (see the
+  // steady-state test above), so one level-2 revolution of warm-up
+  // reaches every slot's high water.
+  Simulator simulator;
+  std::array<EventId, 16> armed{};
+  std::uint64_t expired = 0;
+  simulator.schedule_periodic(Duration{2'048}, [&] {
+    for (std::size_t i = 0; i < armed.size(); ++i) {
+      simulator.cancel(armed[i]);
+      std::array<std::uint64_t, 6> payload{};
+      payload.fill(i);
+      armed[i] = simulator.schedule(Duration{262'144}, [&expired, payload] {
+        expired += payload[0] + 1;
+      });
+    }
+  });
+
+  simulator.run_until(seconds(140.0));  // two level-2 revolutions
+  const std::size_t allocations_before = g_new_calls;
+  simulator.run_until(seconds(150.0));
+  const std::size_t allocations_after = g_new_calls;
+
+  EXPECT_EQ(allocations_after, allocations_before)
+      << "cancel/re-schedule churn made "
+      << (allocations_after - allocations_before) << " heap allocations";
+  EXPECT_EQ(expired, 0u) << "a cancelled watchdog fired";
+  EXPECT_LE(simulator.stored_pending(), 4 * armed.size())
+      << "cancelled keys are not being collected";
 }
 
 TEST(SimulatorAllocation, ConstructionIsCheap) {

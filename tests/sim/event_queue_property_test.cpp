@@ -9,6 +9,8 @@
 // Simulator API against an execution order computed from the schedule.
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -381,6 +383,83 @@ TEST(EventQueue, CancelledEntriesCompactOnceTheyDominate) {
     ++fired;
   }
   EXPECT_EQ(fired, 40u);
+}
+
+// The wheel's slots and heaps carry keys; the closures stay in the
+// queue's cell table. A key that grew past this would bring back the
+// 144-byte moves the keys exist to avoid.
+static_assert(sizeof(QueueKey) <= 24);
+
+TEST(TimerWheelQueue, DispatchSchedulesFarPastTheFirstCellChunk) {
+  // One event schedules 10,000 more from inside its own dispatch, well
+  // past the 3,072 cells the constructor's slab holds, so the cell table
+  // grows while the scheduling closure is running. Every payload must
+  // arrive intact and run exactly once.
+  constexpr int kEvents = 10'000;
+  Simulator simulator;
+  std::vector<int> runs(kEvents, 0);
+  std::vector<int> mismatches;
+  simulator.schedule(Duration{5}, [&] {
+    for (int i = 0; i < kEvents; ++i) {
+      std::array<std::uint64_t, 8> payload{};  // 64 bytes: an inline capture
+      for (std::size_t k = 0; k < payload.size(); ++k) {
+        payload[k] = static_cast<std::uint64_t>(i) * 1'000 + k;
+      }
+      simulator.schedule(Duration{static_cast<Duration>(i % 700)},
+                         [&runs, &mismatches, i, payload] {
+                           ++runs[static_cast<std::size_t>(i)];
+                           for (std::size_t k = 0; k < payload.size(); ++k) {
+                             if (payload[k] !=
+                                 static_cast<std::uint64_t>(i) * 1'000 + k) {
+                               mismatches.push_back(i);
+                               return;
+                             }
+                           }
+                         });
+    }
+  });
+  simulator.run_all();
+  EXPECT_TRUE(mismatches.empty()) << mismatches.size() << " payloads torn";
+  EXPECT_EQ(std::count(runs.begin(), runs.end(), 1), kEvents);
+  EXPECT_EQ(simulator.stored_pending(), 0u);
+}
+
+TEST(TimerWheelQueue, CancelledClosureIsReleasedWhenReachedOrCompacted) {
+  FlatIdSet live;
+  auto token = std::make_shared<int>(7);
+  {
+    TimerWheelQueue wheel(live);
+    // Reached: cancellation is lazy, so the closure (and its reference)
+    // lives until the wheel reaches the key.
+    live.insert(1);
+    wheel.push(5'000, 1, [token] {});
+    live.insert(2);
+    wheel.push(9'000, 2, [] {});
+    live.erase(1);
+    wheel.note_cancelled();
+    EXPECT_EQ(token.use_count(), 2) << "released before its key was reached";
+    QueueEntry out;
+    ASSERT_TRUE(wheel.pop_next(Time{10'000}, out));
+    EXPECT_EQ(out.id, 2u);
+    EXPECT_EQ(token.use_count(), 1) << "reached key kept its closure";
+    EXPECT_EQ(wheel.dead(), 0u);
+
+    // Compacted: 40 cancelled among 80 stored trips the policy; every
+    // cancelled closure goes with it, the live ones stay.
+    for (EventId id = 10; id < 90; ++id) {
+      live.insert(id);
+      wheel.push(Time{200'000} + id * 3'000, id, [token] {});
+    }
+    EXPECT_EQ(token.use_count(), 81);
+    for (EventId id = 10; id < 50; ++id) {
+      live.erase(id);
+      wheel.note_cancelled();
+    }
+    EXPECT_EQ(wheel.dead(), 0u) << "compaction should have run";
+    EXPECT_EQ(token.use_count(), 41);
+    // The queue's destructor releases what is still stored.
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(SimulatorLockstep, ExecutionMatchesScheduleOrder) {

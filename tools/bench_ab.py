@@ -15,32 +15,43 @@ so a drift in the host's load hits both sides alike.
 For every end-to-end metric BENCHMARK.json declares, the report gives each
 side's median and quartiles, the ratio of the medians (CHANGE / BASE), how
 many pairs CHANGE won (ties count for neither side), and whether the
-medians differ by more than BASE's interquartile spread. Exits non-zero
-if a run fails or reports failed operations.
+medians differ by more than BASE's interquartile spread. Two diagnostic
+rows follow, neither gated nor part of BENCHMARK.json: each side's median
+minor page faults and system CPU seconds per timed run, read as
+getrusage(RUSAGE_CHILDREN) deltas around the run (run.py, its build check
+and the benchmark process together). A change that makes the heap give
+pages back between worlds shows there first. Exits non-zero if a run
+fails or reports failed operations.
 """
 
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
 
 
 def run(checkout, workload, seed, seconds):
-    """One perfbench run in `checkout`; returns its metrics dict."""
+    """One perfbench run in `checkout`; returns its metrics dict and its
+    (minor faults, system CPU seconds)."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = (after.ru_minflt - before.ru_minflt,
+             after.ru_stime - before.ru_stime)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         sys.exit(f"bench_ab: run in {checkout} exited with {proc.returncode}")
     result = json.loads(proc.stdout.rstrip("\n").splitlines()[-1])
     if result.get("failed", 0) != 0:
         sys.exit(f"bench_ab: run in {checkout} reported failed operations")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}, usage
 
 
 def quartiles(values):
@@ -70,11 +81,14 @@ def main():
         run(checkout, args.workload, args.seed, 1.0)
 
     samples = {"base": [], "change": []}
+    usages = {"base": [], "change": []}
     for pair in range(args.pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         for side in order:
-            samples[side].append(
-                run(sides[side], args.workload, args.seed, seconds))
+            metrics, usage = run(sides[side], args.workload, args.seed,
+                                 seconds)
+            samples[side].append(metrics)
+            usages[side].append(usage)
         line = "  ".join(
             f"{side}={samples[side][-1].get('throughput', 0):.4g}"
             for side in ("base", "change"))
@@ -98,6 +112,13 @@ def main():
               f"{f'{c_q1:.4g}/{c_med:.4g}/{c_q3:.4g}':>30} "
               f"{ratio:>7.3f} {f'{wins}/{args.pairs}':>6}  "
               f"{'yes' if resolved else 'no'}")
+
+    print("diagnostic, not gated (median per run, base -> change):")
+    for column, label in ((0, "ru_minflt"), (1, "sys_cpu_s")):
+        base = statistics.median(u[column] for u in usages["base"])
+        change = statistics.median(u[column] for u in usages["change"])
+        ratio = change / base if base else float("nan")
+        print(f"{label:<16} {base:>30.6g} {change:>30.6g} {ratio:>7.3f}")
 
 
 if __name__ == "__main__":
