@@ -78,7 +78,9 @@ struct World {
     if (handover_midway) {
       // WLAN moves ~1.4 MB/s; interrupt while the transfer is mid-stream.
       simulator.run_for(sim::milliseconds(400));
-      owner.stack->set_radio_powered(net::Technology::wlan, false);
+      PH_CHECK_MSG(
+          owner.stack->set_radio_powered(net::Technology::wlan, false).ok(),
+          "the owner's WLAN radio could not be switched off");
     }
     const sim::Time deadline = simulator.now() + sim::minutes(30);
     while (!done) {
@@ -86,7 +88,9 @@ struct World {
       PH_CHECK_MSG(simulator.now() < deadline, "transfer never finished");
     }
     if (handover_midway) {
-      owner.stack->set_radio_powered(net::Technology::wlan, true);
+      PH_CHECK_MSG(
+          owner.stack->set_radio_powered(net::Technology::wlan, true).ok(),
+          "the owner's WLAN radio could not be switched back on");
     }
     TransferResult result;
     result.seconds = sim::to_seconds(simulator.now() - start);

@@ -64,26 +64,19 @@ BENCHMARK(BM_SimulatorCascade)->Arg(1'000)->Arg(10'000);
 
 void BM_EventQueue(benchmark::State& state) {
   const std::size_t pending = static_cast<std::size_t>(state.range(0));
-  sim::FlatIdSet live;
-  sim::TimerWheelQueue queue(live);
+  sim::TimerWheelQueue queue;
   std::mt19937_64 rng(12345);
   const sim::Duration horizon = 10'000'000;  // 10 s spread
   sim::Time now = 0;
-  sim::EventId next_id = 1;
   for (std::size_t i = 0; i < pending; ++i) {
-    const sim::EventId id = next_id++;
-    live.insert(id);
-    queue.push(now + rng() % horizon, id, sim::EventFn([] {}));
+    queue.push(now + rng() % horizon, sim::EventFn([] {}));
   }
   sim::QueueEntry out;
   for (auto _ : state) {
     queue.pop_next(~sim::Time{0}, out);
-    live.erase(out.id);
     now = out.when;
-    const sim::EventId id = next_id++;
-    live.insert(id);
-    queue.push(now + rng() % horizon, id, sim::EventFn([] {}));
-    benchmark::DoNotOptimize(out.id);
+    queue.push(now + rng() % horizon, sim::EventFn([] {}));
+    benchmark::DoNotOptimize(out.seq);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -91,17 +84,13 @@ BENCHMARK(BM_EventQueue)->Arg(1'000)->Arg(100'000)->Arg(1'000'000);
 
 // Steady-state cancel churn: schedule far-future events and cancel them,
 // the monitoring-timeout pattern (arm a watchdog, cancel it when the reply
-// arrives). Exercises FlatIdSet membership and lazy-compaction.
+// arrives). Exercises the cell-stamp cancel and lazy compaction.
 void BM_EventQueueCancel(benchmark::State& state) {
-  sim::FlatIdSet live;
-  sim::TimerWheelQueue queue(live);
-  sim::EventId next_id = 1;
+  sim::TimerWheelQueue queue;
+  sim::Time when = 1'000'001;
   for (auto _ : state) {
-    const sim::EventId id = next_id++;
-    live.insert(id);
-    queue.push(sim::Time{next_id} + 1'000'000, id, sim::EventFn([] {}));
-    live.erase(id);
-    queue.note_cancelled();
+    const sim::EventId id = queue.push(++when, sim::EventFn([] {}));
+    queue.cancel(id);
     benchmark::DoNotOptimize(queue.stored());
   }
   state.SetItemsProcessed(state.iterations());

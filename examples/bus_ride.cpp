@@ -108,13 +108,17 @@ int main() {
   simulator.run_for(sim::seconds(2));
   std::printf("[t=%.0fs] anna's Bluetooth drops mid-transfer...\n",
               sim::to_seconds(simulator.now()));
-  anna->stack->set_radio_powered(net::Technology::bluetooth, false);
+  PH_CHECK_MSG(
+      anna->stack->set_radio_powered(net::Technology::bluetooth, false).ok(),
+      "anna's Bluetooth radio could not be switched off");
   while (!transfer_done) simulator.run_for(sim::milliseconds(200));
   PH_CHECK(downloaded == episode);
   std::printf("[t=%.0fs] ben received episode42.mp3 intact (%zu bytes) — "
               "session resumed over WLAN\n",
               sim::to_seconds(simulator.now()), downloaded.size());
-  anna->stack->set_radio_powered(net::Technology::bluetooth, true);
+  PH_CHECK_MSG(
+      anna->stack->set_radio_powered(net::Technology::bluetooth, true).ok(),
+      "anna's Bluetooth radio could not be switched back on");
 
   // Ride on: the cyclist falls behind and leaves the groups.
   while (anna->app->groups().group("podcasts")->members.contains("dara")) {

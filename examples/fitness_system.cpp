@@ -107,10 +107,12 @@ int main() {
   simulator.schedule(sim::seconds(60), [&] {
     std::printf("[t=%5.1fs] belt radio glitch...\n",
                 sim::to_seconds(simulator.now()));
-    belt.set_radio_powered(net::Technology::bluetooth, false);
+    PH_CHECK_MSG(belt.set_radio_powered(net::Technology::bluetooth, false).ok(),
+                 "the belt's Bluetooth radio could not be switched off");
   });
   simulator.schedule(sim::seconds(62), [&] {
-    belt.set_radio_powered(net::Technology::bluetooth, true);
+    PH_CHECK_MSG(belt.set_radio_powered(net::Technology::bluetooth, true).ok(),
+                 "the belt's Bluetooth radio could not be switched back on");
   });
 
   simulator.run_until(sim::minutes(4));

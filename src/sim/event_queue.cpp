@@ -3,78 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <new>
+
+#include "util/check.hpp"
 
 namespace ph::sim {
 
-// --- FlatIdSet --------------------------------------------------------------
-
-bool FlatIdSet::insert(EventId id) {
-  // 0 is the empty-slot marker and can never be stored; inserting it
-  // would silently corrupt the occupancy count.
-  if (id == 0) return false;
-  if ((size_ + 1) * 2 > slots_.size()) grow();
-  std::size_t i = mix(id) & mask();
-  while (slots_[i] != 0) {
-    if (slots_[i] == id) return false;
-    i = (i + 1) & mask();
-  }
-  slots_[i] = id;
-  ++size_;
-  return true;
-}
-
-bool FlatIdSet::contains(EventId id) const noexcept {
-  std::size_t i = mix(id) & mask();
-  while (slots_[i] != 0) {
-    if (slots_[i] == id) return true;
-    i = (i + 1) & mask();
-  }
-  return false;
-}
-
-bool FlatIdSet::erase(EventId id) {
-  // Erasing 0 would "find" the first empty slot (0 marks empties), shift
-  // live entries around a fake hole and underflow size_ — and callers do
-  // legitimately cancel zero-initialised (never-armed) event handles.
-  if (id == 0) return false;
-  std::size_t i = mix(id) & mask();
-  while (slots_[i] != id) {
-    if (slots_[i] == 0) return false;
-    i = (i + 1) & mask();
-  }
-  // Backward-shift deletion: pull every displaced cluster member whose
-  // home slot is at or before the hole back into it, leaving no tombstone.
-  std::size_t j = i;
-  for (;;) {
-    j = (j + 1) & mask();
-    if (slots_[j] == 0) break;
-    const std::size_t home = mix(slots_[j]) & mask();
-    // Leave slots_[j] alone iff its home lies cyclically in (i, j].
-    const bool home_in_range =
-        i <= j ? (i < home && home <= j) : (i < home || home <= j);
-    if (home_in_range) continue;
-    slots_[i] = slots_[j];
-    i = j;
-  }
-  slots_[i] = 0;
-  --size_;
-  return true;
-}
-
-void FlatIdSet::grow() {
-  std::vector<EventId> old = std::move(slots_);
-  slots_.assign(old.size() * 2, 0);
-  size_ = 0;
-  for (EventId id : old) {
-    if (id != 0) insert(id);
-  }
-}
-
 // --- TimerWheelQueue --------------------------------------------------------
 
-TimerWheelQueue::TimerWheelQueue(const FlatIdSet& live)
-    : live_(live), slab_(new Slab) {
+TimerWheelQueue::TimerWheelQueue() : slab_(new Slab) {
   // Every slot starts with room for kSlotChunk keys, so a drifting
   // periodic phase touching a fresh slot mid-run does not allocate and the
   // steady state stays allocation-free. The room is one slab, not a
@@ -112,12 +50,21 @@ std::uint32_t TimerWheelQueue::store(EventFn&& fn) {
   if (index != kNoCell) {
     free_cell_ = cell(index).next_free;
   } else {
+    PH_CHECK_MSG(cells_made_ <= kCellMask,
+                 "TimerWheelQueue: pending events exceed the EventId cell "
+                 "field");
     if (cells_made_ == cells_.size() * kCellChunk) {
       cells_.push_back(std::allocator<Cell>{}.allocate(kCellChunk));
     }
     index = cells_made_++;
+    cell(index).stamp = 0;
   }
-  ::new (static_cast<void*>(&cell(index).fn)) EventFn(std::move(fn));
+  Cell& c = cell(index);
+  ::new (static_cast<void*>(&c.fn)) EventFn(std::move(fn));
+  // The next generation, live: (generation + 1) << 1 whether or not the
+  // dead bit was set. A fresh cell starts at generation 1, so no handle
+  // is 0.
+  c.stamp = (c.stamp | kDead) + 1;
   return index;
 }
 
@@ -125,14 +72,15 @@ void TimerWheelQueue::release(std::uint32_t index) noexcept {
   Cell& c = cell(index);
   c.fn.~EventFn();
   c.next_free = free_cell_;
+  c.stamp |= kDead;
   free_cell_ = index;
 }
 
 bool TimerWheelQueue::discard_if_dead(const QueueKey& key) noexcept {
-  if (live_.contains(key.id)) return false;
+  if ((cell(key.cell).stamp & kDead) == 0) return false;
   release(key.cell);
   --stored_;
-  if (dead_ > 0) --dead_;
+  --dead_;
   return true;
 }
 
@@ -185,10 +133,19 @@ void TimerWheelQueue::place(const QueueKey& key) {
   std::push_heap(overflow_.begin(), overflow_.end(), QueueLater{});
 }
 
-void TimerWheelQueue::push(Time when, EventId id, EventFn fn,
-                           std::uint8_t tag) {
-  place(QueueKey{when, id, store(std::move(fn)), tag});
+EventId TimerWheelQueue::push(Time when, EventFn fn, std::uint8_t tag) {
+  const std::uint32_t index = store(std::move(fn));
+  place(QueueKey{when, ++last_seq_, index, tag});
   ++stored_;
+  return ((cell(index).stamp >> 1) << kCellBits) | index;
+}
+
+bool TimerWheelQueue::cancel(EventId id) {
+  if (!pending(id)) return false;
+  cell(static_cast<std::uint32_t>(id & kCellMask)).stamp |= kDead;
+  ++dead_;
+  if (dead_ >= 32 && dead_ * 2 >= stored_) compact();
+  return true;
 }
 
 void TimerWheelQueue::drain_overflow() {
@@ -311,19 +268,43 @@ bool TimerWheelQueue::advance(Time until) {
   }
 }
 
-bool TimerWheelQueue::pop_next(Time until, QueueEntry& out) {
+Time TimerWheelQueue::next_due_bound() const noexcept {
+  // Keys in the due heap precede the wheel's; within the wheel every
+  // level-0 key precedes every level-1 key (a later level-0 page), and so
+  // on up to the overflow heap. So the first occupied store bounds them
+  // all, and a slot's start bounds its keys.
+  if (!due_.empty()) return due_.front().when;
+  for (unsigned level = 0; level < kLevels; ++level) {
+    const unsigned cur =
+        static_cast<unsigned>(wheel_time_ >> level_shift(level)) &
+        (kSlots - 1);
+    const int found = next_occupied(level, cur);
+    if (found >= 0) {
+      const Time page_base =
+          (wheel_time_ >> page_shift(level)) << page_shift(level);
+      return page_base | (static_cast<Time>(found) << level_shift(level));
+    }
+  }
+  if (!overflow_.empty()) return overflow_.front().when;
+  return std::numeric_limits<Time>::max();
+}
+
+bool TimerWheelQueue::pop_next(Time until, QueueEntry& out,
+                               std::uint64_t last_seq) {
   for (;;) {
     while (!due_.empty() && discard_if_dead(due_.front())) {
       std::pop_heap(due_.begin(), due_.end(), QueueLater{});
       due_.pop_back();
     }
     if (!due_.empty()) {
-      if (due_.front().when > until) return false;
+      if (due_.front().when > until || due_.front().seq > last_seq) {
+        return false;
+      }
       std::pop_heap(due_.begin(), due_.end(), QueueLater{});
       const QueueKey key = due_.back();
       due_.pop_back();
       out.when = key.when;
-      out.id = key.id;
+      out.seq = key.seq;
       out.tag = key.tag;
       out.fn = std::move(cell(key.cell).fn);
       release(key.cell);
@@ -336,8 +317,8 @@ bool TimerWheelQueue::pop_next(Time until, QueueEntry& out) {
 }
 
 void TimerWheelQueue::compact() {
-  // discard_if_dead uncounts each key it drops; dead_ is zeroed anyway
-  // since every cancelled key is reached here.
+  // discard_if_dead uncounts each key it drops, so every cancelled key
+  // being reached here leaves dead_ at zero.
   const auto is_dead = [this](const QueueKey& key) {
     return discard_if_dead(key);
   };
@@ -347,13 +328,17 @@ void TimerWheelQueue::compact() {
   std::make_heap(overflow_.begin(), overflow_.end(), QueueLater{});
   for (unsigned level = 0; level < kLevels; ++level) {
     for (unsigned index = 0; index < kSlots; ++index) {
+      // Jump to the next occupied slot: compaction runs every few dozen
+      // cancels, and walking all 768 slots dominated cancel churn.
+      const int found = next_occupied(level, index);
+      if (found < 0) break;
+      index = static_cast<unsigned>(found);
       Slot& bucket = slot(level, index);
-      if (bucket.empty()) continue;
       std::erase_if(bucket, is_dead);
       if (bucket.empty()) clear_bit(level, index);
     }
   }
-  dead_ = 0;
+  assert(dead_ == 0);
 }
 
 }  // namespace ph::sim

@@ -11,7 +11,7 @@
 // TimerWheelQueue has 3 levels × 256 slots over a 1.024 ms base tick
 // (level spans: 0.26 s / 67 s / 4.77 h) and an overflow min-heap beyond.
 // A slot holds its keys unordered; when the wheel reaches a slot, the
-// whole slot is moved into a small (when, id)-ordered "due" heap that
+// whole slot is moved into a small (when, seq)-ordered "due" heap that
 // establishes the exact global order. Everything strictly before
 // `drained_before()` lives in that heap — the invariant that makes firing
 // order identical to a single global heap, bit for bit (a reference
@@ -27,17 +27,24 @@
 // in fixed chunks that never move, and no reference into it outlives a
 // pop_next() call, so events may schedule freely from inside a dispatch.
 //
-// Events are ordered by (when, id) where id is the insertion sequence, so
-// equal timestamps fire FIFO — the determinism contract ph_chaos_
-// determinism byte-compares. Cancellation is lazy (the Simulator's live
-// set is the source of truth): a cancelled key is dropped, and its
-// closure destroyed, when the wheel reaches it, or when keys are
-// compacted once dead ones dominate, mirroring the Medium's dead-link
-// policy (dead >= 32 && 2*dead >= stored).
+// Events are ordered by (when, seq), where seq is the queue's own
+// insertion sequence, so equal timestamps fire FIFO — the determinism
+// contract ph_chaos_determinism byte-compares.
+//
+// The queue is also the one record of which events are live. push()
+// returns an EventId naming the event's cell and that cell's generation;
+// a cell's stamp holds its generation plus a dead bit. Storing a closure
+// bumps the generation, and cancel() or firing sets the dead bit, so a
+// handle is pending exactly while its stamp matches, and a handle whose
+// cell has since been reused matches nothing. Cancellation is lazy: a
+// cancelled key is dropped, and its closure destroyed, when the wheel
+// reaches it, or when keys are compacted once dead ones dominate,
+// mirroring the Medium's dead-link policy (dead >= 32 && 2*dead >=
+// stored).
 //
 // The constructor makes one slab allocation holding every slot's first
 // kSlotChunk keys and the table's first chunk of closure cells (3,072 ×
-// (24 + 112) B ≈ 418 KB). It is one allocation on purpose, and it stays
+// (24 + 128) B ≈ 467 KB). It is one allocation on purpose, and it stays
 // above glibc's 128 KB mmap threshold: freeing an mmapped block raises
 // glibc's dynamic mmap and trim thresholds, so back-to-back short worlds
 // (a Table-8 replication builds five) keep their heap pages between
@@ -59,45 +66,18 @@
 
 namespace ph::sim {
 
-/// Identifies a scheduled event; 0 is never a valid id.
+/// Identifies a scheduled event: its closure cell in the low bits, that
+/// cell's generation above them. 0 is never a valid id.
 using EventId = std::uint64_t;
 
-/// Open-addressing hash set of live event ids. std::unordered_set
-/// allocates a node per insert, which would defeat the zero-allocation
-/// schedule() path; this probes a flat power-of-two array and erases with
-/// backward shifting (no tombstones, no rehash-on-erase), so at steady
-/// state membership churn touches no allocator.
-class FlatIdSet {
- public:
-  FlatIdSet() : slots_(kInitialSlots, 0) {}
-
-  bool insert(EventId id);
-  bool erase(EventId id);
-  bool contains(EventId id) const noexcept;
-  std::size_t size() const noexcept { return size_; }
-  std::size_t capacity() const noexcept { return slots_.size(); }
-
- private:
-  static constexpr std::size_t kInitialSlots = 1024;  // power of two
-
-  static std::size_t mix(EventId id) noexcept {
-    return static_cast<std::size_t>(id * 0x9E3779B97F4A7C15ull);
-  }
-  std::size_t mask() const noexcept { return slots_.size() - 1; }
-  void grow();
-
-  std::vector<EventId> slots_;  // 0 = empty
-  std::size_t size_ = 0;
-};
-
-/// One popped event, as pop_next() hands it to the dispatch loop. `id`
-/// doubles as the insertion sequence number, so ordering by (when, id) is
-/// FIFO among equal timestamps. `tag` is the obs::prof cost-center byte
+/// One popped event, as pop_next() hands it to the dispatch loop. `seq`
+/// is the insertion sequence number, so ordering by (when, seq) is FIFO
+/// among equal timestamps. `tag` is the obs::prof cost-center byte
 /// attached at schedule time; it rides along so the dispatch loop can
 /// attribute the event without a lookup.
 struct QueueEntry {
   Time when = 0;
-  EventId id = 0;
+  std::uint64_t seq = 0;
   std::uint8_t tag = 0;
   EventFn fn;
 };
@@ -106,47 +86,69 @@ struct QueueEntry {
 /// cost-center tag and the index of the cell holding its closure.
 struct QueueKey {
   Time when = 0;
-  EventId id = 0;
+  std::uint64_t seq = 0;
   std::uint32_t cell = 0;
   std::uint8_t tag = 0;
 };
 
-/// max-heap comparator that puts the earliest (when, id) on top of
+/// max-heap comparator that puts the earliest (when, seq) on top of
 /// std::push_heap's max-heap.
 struct QueueLater {
   template <class E>
   bool operator()(const E& a, const E& b) const noexcept {
     if (a.when != b.when) return a.when > b.when;
-    return a.id > b.id;
+    return a.seq > b.seq;
   }
 };
 
 /// Hierarchical timer wheel with an overflow heap for the far tail.
 class TimerWheelQueue {
  public:
-  /// `live` is the Simulator's id set — the authority on which stored
-  /// entries are still scheduled. It must outlive the queue.
-  explicit TimerWheelQueue(const FlatIdSet& live);
+  /// Bits of an EventId that name the cell; the generation takes the rest.
+  static constexpr unsigned kCellBits = 24;
+  static_assert(64 - kCellBits >= 40,
+                "a handle's generation must not wrap within a run");
+
+  TimerWheelQueue();
   ~TimerWheelQueue();
   TimerWheelQueue(const TimerWheelQueue&) = delete;
   TimerWheelQueue& operator=(const TimerWheelQueue&) = delete;
 
-  /// Stores an entry: its closure in a free cell, its key in the wheel.
-  void push(Time when, EventId id, EventFn fn, std::uint8_t tag = 0);
+  /// Stores an event, its closure in a free cell and its key in the
+  /// wheel, as the next in sequence. Returns its handle.
+  EventId push(Time when, EventFn fn, std::uint8_t tag = 0);
 
-  /// Moves the earliest live entry with when <= until into `out` and
-  /// frees its cell; false when there is none. Dead (cancelled) entries
-  /// reached on the way are discarded, their closures destroyed.
-  bool pop_next(Time until, QueueEntry& out);
+  /// Moves the earliest live entry with when <= until and seq <= last_seq
+  /// into `out` and frees its cell; false when there is none. Dead
+  /// (cancelled) entries reached on the way are discarded, their closures
+  /// destroyed.
+  bool pop_next(Time until, QueueEntry& out,
+                std::uint64_t last_seq = ~std::uint64_t{0});
 
-  /// Called by the Simulator after a successful cancel. Once dead entries
+  /// Marks a pending event dead; false if it already fired or was
+  /// cancelled, or never existed (EventId{} included). Once dead entries
   /// dominate (same thresholds as Medium::note_dead_link) the queue
   /// compacts them away so cancel-heavy churn cannot accumulate closures.
-  void note_cancelled() {
-    ++dead_;
-    if (dead_ >= 32 && dead_ * 2 >= stored_) compact();
+  bool cancel(EventId id);
+
+  /// True while the event has neither fired nor been cancelled.
+  bool pending(EventId id) const noexcept {
+    const std::uint64_t index = id & kCellMask;
+    return index < cells_made_ &&
+           cell(static_cast<std::uint32_t>(index)).stamp ==
+               (id >> kCellBits) << 1;
   }
 
+  /// Sequence number of the latest push (0 before the first).
+  std::uint64_t last_seq() const noexcept { return last_seq_; }
+
+  /// A time no later than the earliest stored key (cancelled ones
+  /// included); Time max when nothing is stored. Unlike pop_next it never
+  /// advances the wheel, so a caller can size a wait with it.
+  Time next_due_bound() const noexcept;
+
+  /// Pending events (stored minus cancelled).
+  std::size_t live() const noexcept { return stored_ - dead_; }
   /// Entries held (live + not-yet-collected dead).
   std::size_t stored() const noexcept { return stored_; }
   /// Cancelled entries still occupying queue storage — the
@@ -184,14 +186,22 @@ class TimerWheelQueue {
   /// Closure cells per table chunk; the first chunk lives in the slab.
   static constexpr std::size_t kCellChunk = kSlabEntries;
   static constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
+  static constexpr std::uint64_t kCellMask =
+      (std::uint64_t{1} << kCellBits) - 1;
+  /// Low bit of a cell's stamp; the generation sits above it.
+  static constexpr std::uint64_t kDead = 1;
 
   /// One closure cell: the stored event's EventFn while its key is in the
-  /// wheel, the next free cell's index while on the free list. Cells are
-  /// only ever placed in raw chunk storage, never constructed whole.
-  union Cell {
+  /// wheel, the next free cell's index while on the free list, and the
+  /// stamp (generation << 1 | dead) that outlives both. Cells are only
+  /// ever placed in raw chunk storage, never constructed whole.
+  struct Cell {
     ~Cell() {}
-    EventFn fn;
-    std::uint32_t next_free;
+    union {
+      EventFn fn;
+      std::uint32_t next_free;
+    };
+    std::uint64_t stamp;
   };
 
   /// The one up-front allocation (see the file comment). Raw bytes: a
@@ -256,11 +266,15 @@ class TimerWheelQueue {
   Cell& cell(std::uint32_t index) noexcept {
     return cells_[index / kCellChunk][index % kCellChunk];
   }
+  const Cell& cell(std::uint32_t index) const noexcept {
+    return cells_[index / kCellChunk][index % kCellChunk];
+  }
 
   /// Moves `fn` into a free cell (growing the table by a chunk when none
-  /// is left) and returns the cell's index.
+  /// is left), bumps the cell's generation and returns its index.
   std::uint32_t store(EventFn&& fn);
-  /// Destroys the cell's closure and puts the cell on the free list.
+  /// Destroys the cell's closure, marks it dead and puts the cell on the
+  /// free list.
   void release(std::uint32_t index) noexcept;
   /// Releases a cancelled key's cell and uncounts it; false (and nothing
   /// done) if the key is still live.
@@ -289,12 +303,12 @@ class TimerWheelQueue {
   void drain_overflow();
   void compact();
 
-  const FlatIdSet& live_;
+  std::uint64_t last_seq_ = 0;
   std::size_t dead_ = 0;
   Time wheel_time_ = 0;  // slot-boundary; see drained_before()
   std::size_t stored_ = 0;
-  std::vector<QueueKey> due_;       // (when, id) min-heap
-  std::vector<QueueKey> overflow_;  // (when, id) min-heap, far future
+  std::vector<QueueKey> due_;       // (when, seq) min-heap
+  std::vector<QueueKey> overflow_;  // (when, seq) min-heap, far future
   /// Declared before slots_ and cells_, which point into it, so it is
   /// freed after them.
   std::unique_ptr<Slab> slab_;

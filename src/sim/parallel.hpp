@@ -3,14 +3,15 @@
 // The single-threaded Simulator executes one global worklist; city-scale
 // radio worlds (50k–100k devices) need the world partitioned across cores.
 // A ShardedKernel owns S independent Simulators ("shards"), each with its
-// own timer wheel, live set and event-id sequence, and advances them in
-// lockstep *windows* of `lookahead` virtual microseconds — the classic
-// conservative-lookahead scheme (Chandy–Misra–Bryant with a global
-// barrier): because every cross-shard interaction in the hosted workload
-// carries at least `lookahead` of latency (the radio's base propagation
-// delay), events executed inside a window can only affect *other* shards
-// at or after the next window boundary, so shards never need to peek at
-// each other mid-window.
+// own timer wheel (which also issues its event ids and sequence), and
+// advances them in lockstep *windows* of `lookahead` virtual
+// microseconds — the classic conservative-lookahead scheme
+// (Chandy–Misra–Bryant with a global barrier): because every
+// cross-shard interaction in the hosted workload carries at least
+// `lookahead` of latency (the radio's base propagation delay), events
+// executed inside a window can only affect *other* shards at or after
+// the next window boundary, so shards never need to peek at each other
+// mid-window.
 //
 // One window:
 //

@@ -17,16 +17,7 @@ EventId Simulator::schedule_at(Time when, EventFn fn) {
 EventId Simulator::schedule_at_tagged(Time when, std::uint8_t tag,
                                       EventFn fn) {
   if (when < now_) when = now_;
-  const EventId id = next_seq_++;
-  queue_.push(when, id, std::move(fn), tag);
-  live_.insert(id);
-  return id;
-}
-
-bool Simulator::cancel(EventId id) {
-  if (!live_.erase(id)) return false;
-  queue_.note_cancelled();
-  return true;
+  return queue_.push(when, std::move(fn), tag);
 }
 
 TaskId Simulator::schedule_periodic(Duration interval, EventFn fn) {
@@ -62,7 +53,6 @@ void Simulator::run_periodic(TaskId id) {
 void Simulator::run_until(Time until) {
   QueueEntry entry;
   while (queue_.pop_next(until, entry)) {
-    live_.erase(entry.id);
     now_ = entry.when;
     ++executed_;
     dispatch(entry);
@@ -73,7 +63,6 @@ void Simulator::run_until(Time until) {
 void Simulator::run_all() {
   QueueEntry entry;
   while (queue_.pop_next(std::numeric_limits<Time>::max(), entry)) {
-    live_.erase(entry.id);
     now_ = entry.when;
     ++executed_;
     dispatch(entry);

@@ -13,10 +13,12 @@
 // previous binary heap — same seed, byte-identical run. Callbacks are
 // small-buffer-optimized EventFns kept in the queue's free-listed closure
 // cells; the wheel itself moves only 24-byte keys naming those cells, so
-// steady-state schedule() performs zero heap allocations. Cancellation
-// stays lazy: cancel() drops the id from the live set, the stale key (and
-// its closure) is discarded when reached, and keys are compacted once
-// dead ones dominate (mirroring the Medium's dead-link policy).
+// steady-state schedule() performs zero heap allocations. The queue also
+// owns liveness: a handle names a closure cell and its generation, so
+// pending() and cancel() are a stamp compare. Cancellation stays lazy:
+// cancel() marks the cell dead, the stale key (and its closure) is
+// discarded when reached, and keys are compacted once dead ones dominate
+// (mirroring the Medium's dead-link policy).
 #pragma once
 
 #include <cstdint>
@@ -72,7 +74,7 @@ class Simulator {
 
   /// Removes a pending event. Returns false if it already ran or was
   /// cancelled; cancelling an invalid id is a harmless no-op.
-  bool cancel(EventId id);
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs `fn` every `interval` of virtual time, first at now + interval,
   /// until cancel_periodic(). The telemetry scraper (obs::Sampler) and
@@ -89,7 +91,7 @@ class Simulator {
   bool periodic_pending(TaskId id) const { return periodic_.contains(id); }
 
   /// True if the event is still pending.
-  bool pending(EventId id) const { return live_.contains(id); }
+  bool pending(EventId id) const { return queue_.pending(id); }
 
   /// Runs events until the queue drains or virtual time would pass `until`.
   /// The clock is left at min(until, time of last event run); events at
@@ -104,7 +106,7 @@ class Simulator {
   void run_all();
 
   /// Number of events waiting in the queue (cancelled events excluded).
-  std::size_t queue_size() const noexcept { return live_.size(); }
+  std::size_t queue_size() const noexcept { return queue_.live(); }
 
   /// Cancelled entries still occupying queue storage (lazy cancellation
   /// garbage awaiting collection) — the `sim.queue.cancelled_live` gauge.
@@ -150,10 +152,8 @@ class Simulator {
   }
 
   Time now_ = 0;
-  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  FlatIdSet live_;  // declared before queue_, which holds a reference
-  TimerWheelQueue queue_{live_};
+  TimerWheelQueue queue_;
   TaskId next_task_ = 1;
   std::map<TaskId, Periodic> periodic_;
   std::uint8_t current_tag_ = 0;

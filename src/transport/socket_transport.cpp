@@ -21,6 +21,7 @@
 #include "obs/sampler.hpp"
 #include "obs/slo.hpp"
 #include "proto/frame.hpp"
+#include "sim/event_queue.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -121,25 +122,15 @@ class SocketTransport::WallScheduler final : public Scheduler {
   }
 
   sim::EventId schedule(sim::Duration delay, sim::EventFn fn) override {
-    const sim::EventId id = ++next_id_;
-    const sim::Time due = now() + delay;
     // Same tag plumbing as the simulated kernels: a pending TagScope wins,
     // otherwise the timer inherits the tag of the timer being dispatched.
-    timers_.emplace(std::make_pair(due, id),
-                    Timer{std::move(fn), obs::prof::effective_tag(current_tag_)});
-    due_.emplace(id, due);
-    return id;
+    return queue_.push(now() + delay, std::move(fn),
+                       obs::prof::effective_tag(current_tag_));
   }
 
-  bool cancel(sim::EventId id) override {
-    auto it = due_.find(id);
-    if (it == due_.end()) return false;
-    timers_.erase(std::make_pair(it->second, id));
-    due_.erase(it);
-    return true;
-  }
+  bool cancel(sim::EventId id) override { return queue_.cancel(id); }
 
-  bool pending(sim::EventId id) const override { return due_.contains(id); }
+  bool pending(sim::EventId id) const override { return queue_.pending(id); }
 
   /// Alternates rounds of due timers with epoll waits whose wall timeout
   /// is the earlier of `until` and the next timer, both mapped back
@@ -157,10 +148,9 @@ class SocketTransport::WallScheduler final : public Scheduler {
         if (fired) transport_.pump_epoll(0);
         return;
       }
-      sim::Time wake = until;
-      if (!timers_.empty()) {
-        wake = std::min(wake, timers_.begin()->first.first);
-      }
+      // A lower bound on the next timer: waking early for a cancelled
+      // one, or at its wheel slot's start, costs one empty round.
+      const sim::Time wake = std::min(until, queue_.next_due_bound());
       int timeout_ms = 0;
       if (wake > current) {
         const double wall_us = static_cast<double>(wake - current) / scale_;
@@ -172,29 +162,21 @@ class SocketTransport::WallScheduler final : public Scheduler {
   }
 
  private:
-  struct Timer {
-    sim::EventFn fn;
-    std::uint8_t tag = 0;
-  };
-
-  /// Fires the timers due at the round's start, in (due, id) order. A
+  /// Fires the timers due at the round's start, in (due, seq) order. A
   /// timer scheduled during the round is due no earlier than the round's
   /// start and sorts after every older timer with the same due point, so
   /// the first one reached ends the round. True if any fired.
   bool run_due_round() {
     const sim::Time round_start = now();
-    const sim::EventId last_scheduled = next_id_;
+    const std::uint64_t last_scheduled = queue_.last_seq();
     bool fired = false;
-    while (!timers_.empty()) {
-      const auto [due, id] = timers_.begin()->first;
-      if (due > round_start || id > last_scheduled) break;
-      auto node = timers_.extract(timers_.begin());
-      due_.erase(id);
-      Timer timer = std::move(node.mapped());
+    for (;;) {
+      sim::QueueEntry timer;
+      if (!queue_.pop_next(round_start, timer, last_scheduled)) break;
       // Loop lag: how far past its due point the timer actually fired,
       // reported in WALL microseconds (virtual lag unscaled). A loaded
       // or stalled loop shows up here before anything times out.
-      const sim::Time lag_virtual = now() - due;
+      const sim::Time lag_virtual = now() - timer.when;
       transport_.h_loop_lag_->observe(static_cast<double>(lag_virtual) /
                                       scale_);
       const std::uint64_t t0 = transport_.wall_clock_.now();
@@ -215,10 +197,8 @@ class SocketTransport::WallScheduler final : public Scheduler {
   double scale_;
   std::chrono::steady_clock::time_point start_;
   mutable sim::Time last_now_ = 0;
-  sim::EventId next_id_ = 0;
   std::uint8_t current_tag_ = 0;  ///< tag of the timer being dispatched
-  std::map<std::pair<sim::Time, sim::EventId>, Timer> timers_;
-  std::map<sim::EventId, sim::Time> due_;
+  sim::TimerWheelQueue queue_;  ///< the simulator's queue, over wall time
 };
 
 // ---------------------------------------------------------------------------

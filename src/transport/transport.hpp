@@ -53,9 +53,11 @@ using DeviceId = net::NodeId;
 // ---------------------------------------------------------------------------
 
 /// Timers and a monotonic clock in virtual microseconds. The simulated
-/// backend forwards to sim::Simulator; the socket backend keeps a timer
-/// heap over the wall clock. The subset below is exactly what the
-/// middleware layers use, so the same daemon code runs on both.
+/// backend forwards to sim::Simulator; the socket backend keeps the
+/// simulator's own sim::TimerWheelQueue over the wall clock, so handles,
+/// pending() and cancel() mean the same on both. The subset below is
+/// exactly what the middleware layers use, so the same daemon code runs
+/// on both.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

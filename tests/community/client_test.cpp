@@ -436,7 +436,8 @@ TEST_F(ClientTest, FanoutSkipsUnreachablePeer) {
   await_neighbourhood();
   (void)alice;
   // bob's radio dies after discovery but before the query.
-  bob.stack->set_radio_powered(net::Technology::bluetooth, false);
+  ASSERT_TRUE(
+      bob.stack->set_radio_powered(net::Technology::bluetooth, false).ok());
   std::vector<std::string> members;
   bool done = false;
   client_->get_online_members([&](Result<std::vector<std::string>> result) {

@@ -91,10 +91,10 @@ TEST_P(ChaosTest, ExactlyOnceInOrderUnderRadioFlaps) {
     Stack& victim = chaos.chance(0.5) ? a : b;
     const net::Technology tech = chaos.chance(0.5) ? net::Technology::bluetooth
                                                    : net::Technology::wlan;
-    victim.set_radio_powered(tech, false);
+    ASSERT_TRUE(victim.set_radio_powered(tech, false).ok());
     const sim::Duration outage = sim::seconds(chaos.uniform(1.0, 4.0));
     simulator.schedule(outage, [&victim, tech] {
-      victim.set_radio_powered(tech, true);
+      ASSERT_TRUE(victim.set_radio_powered(tech, true).ok());
     });
     simulator.schedule(outage + sim::seconds(chaos.uniform(1.0, 3.0)), flap);
   };

@@ -102,7 +102,8 @@ TEST_F(FailureInjectionTest, RpcAgainstDeadPeerFailsCleanly) {
         return !alice.stack->library().find_service(kServiceName).empty();
       },
       sim::minutes(1)));
-  bob.stack->set_radio_powered(net::Technology::bluetooth, false);
+  ASSERT_TRUE(
+      bob.stack->set_radio_powered(net::Technology::bluetooth, false).ok());
   Error error;
   bool done = false;
   alice.app->client().view_profile("bob", [&](Result<proto::ProfileData> r) {
@@ -137,7 +138,8 @@ TEST_F(FailureInjectionTest, PeerDyingMidFanoutDoesNotHangTheOperation) {
         members = *result;
         done = true;
       });
-  bob.stack->set_radio_powered(net::Technology::bluetooth, false);
+  ASSERT_TRUE(
+      bob.stack->set_radio_powered(net::Technology::bluetooth, false).ok());
   ASSERT_TRUE(run_until(simulator_, [&] { return done; }, sim::minutes(1)));
   EXPECT_EQ(members, (std::vector<std::string>{"carol"}));
 }
@@ -250,7 +252,8 @@ TEST_F(FailureInjectionTest, ChunkedTransferSurvivesMidTransferHandover) {
   // radio carrying the session mid-stream.
   simulator_.run_until(simulator_.now() + sim::milliseconds(150));
   EXPECT_FALSE(done);
-  alice->stack->set_radio_powered(net::Technology::wlan, false);
+  ASSERT_TRUE(
+      alice->stack->set_radio_powered(net::Technology::wlan, false).ok());
   ASSERT_TRUE(run_until(simulator_, [&] { return done; }, sim::minutes(3)));
   EXPECT_EQ(downloaded, original);
 }
@@ -268,12 +271,14 @@ TEST_F(FailureInjectionTest, DaemonRecoversAfterOwnRadioBlip) {
       },
       sim::minutes(1)));
   // Alice's own radio goes down for 20 s.
-  alice.stack->set_radio_powered(net::Technology::bluetooth, false);
+  ASSERT_TRUE(
+      alice.stack->set_radio_powered(net::Technology::bluetooth, false).ok());
   ASSERT_TRUE(run_until(
       simulator_,
       [&] { return !alice.app->groups().group("x")->formed(); },
       sim::minutes(1)));
-  alice.stack->set_radio_powered(net::Technology::bluetooth, true);
+  ASSERT_TRUE(
+      alice.stack->set_radio_powered(net::Technology::bluetooth, true).ok());
   ASSERT_TRUE(run_until(
       simulator_,
       [&] {

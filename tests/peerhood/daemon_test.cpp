@@ -423,7 +423,7 @@ TEST_F(DaemonTest, EntryTtlEvictsSilentNeighbourWithCauseExpired) {
   });
 
   const sim::Time silent_at = simulator_.now();
-  b.set_radio_powered(net::Technology::bluetooth, false);
+  ASSERT_TRUE(b.set_radio_powered(net::Technology::bluetooth, false).ok());
   ASSERT_TRUE(run_until(
       simulator_, [&] { return !causes.empty(); }, sim::minutes(2)));
   EXPECT_EQ(causes[0], GoneCause::expired);

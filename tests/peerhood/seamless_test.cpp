@@ -89,7 +89,7 @@ TEST_F(SeamlessTest, FailsOverToSecondRadioWhenFirstDies) {
   ASSERT_TRUE(run_until(
       simulator_, [&] { return received_.size() == 1; }, sim::seconds(5)));
 
-  a_->set_radio_powered(net::Technology::wlan, false);
+  ASSERT_TRUE(a_->set_radio_powered(net::Technology::wlan, false).ok());
   client.send(to_bytes("after"));
   ASSERT_TRUE(run_until(
       simulator_, [&] { return received_.size() == 2; }, sim::seconds(20)));
@@ -104,7 +104,7 @@ TEST_F(SeamlessTest, InFlightDataRetransmittedAcrossHandover) {
   Connection client = connect({});
   // Queue a burst, then kill the carrying radio before most of it drains.
   for (int i = 0; i < 20; ++i) client.send(to_bytes("m" + std::to_string(i)));
-  a_->set_radio_powered(net::Technology::wlan, false);
+  ASSERT_TRUE(a_->set_radio_powered(net::Technology::wlan, false).ok());
   ASSERT_TRUE(run_until(
       simulator_, [&] { return received_.size() == 20; }, sim::seconds(30)));
   for (int i = 0; i < 20; ++i) {
@@ -123,7 +123,7 @@ TEST_F(SeamlessTest, ServerToClientDirectionAlsoSurvives) {
       simulator_, [&] { return server_ != nullptr && !received_.empty(); },
       sim::seconds(5)));
   server_->send(to_bytes("s1"));
-  a_->set_radio_powered(net::Technology::wlan, false);
+  ASSERT_TRUE(a_->set_radio_powered(net::Technology::wlan, false).ok());
   server_->send(to_bytes("s2"));
   ASSERT_TRUE(run_until(
       simulator_, [&] { return at_client.size() == 2; }, sim::seconds(30)));
@@ -135,13 +135,13 @@ TEST_F(SeamlessTest, ProactiveHandoverOnWeakSignal) {
   // weaken Bluetooth below the threshold: the monitor should move the
   // session before the link actually breaks.
   make_dual_radio_pair({3, 0});
-  a_->set_radio_powered(net::Technology::wlan, false);
+  ASSERT_TRUE(a_->set_radio_powered(net::Technology::wlan, false).ok());
   ConnectOptions options;
   options.monitor_interval = sim::milliseconds(200);
   Connection client = connect(options);
   ASSERT_EQ(client.current_technology(), net::Technology::bluetooth);
 
-  a_->set_radio_powered(net::Technology::wlan, true);
+  ASSERT_TRUE(a_->set_radio_powered(net::Technology::wlan, true).ok());
   // b moves to 9.7 m: BT signal ~0.06 (< 0.15 threshold), WLAN ~0.99.
   medium_.set_mobility(b_->id(),
                        std::make_unique<sim::StaticMobility>(sim::Vec2{9.7, 0}));
@@ -170,7 +170,7 @@ TEST_F(SeamlessTest, ForcedTechnologyNeverFailsOver) {
   bool closed = false;
   client.on_close([&](const Error&) { closed = true; });
   // Kill Bluetooth; WLAN is available but pinned sessions must not take it.
-  a_->set_radio_powered(net::Technology::bluetooth, false);
+  ASSERT_TRUE(a_->set_radio_powered(net::Technology::bluetooth, false).ok());
   ASSERT_TRUE(run_until(simulator_, [&] { return closed; }, sim::seconds(10)));
   EXPECT_NE(client.current_technology(), net::Technology::wlan);
 }
@@ -189,8 +189,8 @@ TEST_F(SeamlessTest, ResumeDeadlineFiresConnectionLostWhenNoRadioReturns) {
   // Every radio on b dies and never comes back: the backed-off resume
   // sweeps all fail and the deadline must end the session.
   const sim::Time died_at = simulator_.now();
-  b_->set_radio_powered(net::Technology::bluetooth, false);
-  b_->set_radio_powered(net::Technology::wlan, false);
+  ASSERT_TRUE(b_->set_radio_powered(net::Technology::bluetooth, false).ok());
+  ASSERT_TRUE(b_->set_radio_powered(net::Technology::wlan, false).ok());
   ASSERT_TRUE(run_until(simulator_, [&] { return closed; }, sim::minutes(1)));
   EXPECT_EQ(last_error.code, Errc::connection_lost);
   EXPECT_GE(simulator_.now() - died_at, options.resume_deadline);
@@ -206,7 +206,7 @@ TEST_F(SeamlessTest, HandoverPrefersStrongestSignal) {
   Connection client = connect({});
   ASSERT_EQ(client.current_technology(), net::Technology::wlan);
   // Drop WLAN: the only candidate is BT, still in range at 8 m.
-  b_->set_radio_powered(net::Technology::wlan, false);
+  ASSERT_TRUE(b_->set_radio_powered(net::Technology::wlan, false).ok());
   client.send(to_bytes("x"));
   ASSERT_TRUE(run_until(
       simulator_, [&] { return !received_.empty(); }, sim::seconds(20)));
@@ -218,12 +218,13 @@ TEST_F(SeamlessTest, WalkOutOfBluetoothIntoWlanOnlyRange) {
   // peer walks from Bluetooth range (10 m) out to 40 m, where only WLAN
   // (100 m) still reaches.
   make_dual_radio_pair({2, 0});
-  a_->set_radio_powered(net::Technology::wlan, false);  // start on BT
+  // start on BT
+  ASSERT_TRUE(a_->set_radio_powered(net::Technology::wlan, false).ok());
   ConnectOptions options;
   options.monitor_interval = sim::milliseconds(250);
   Connection client = connect(options);
   ASSERT_EQ(client.current_technology(), net::Technology::bluetooth);
-  a_->set_radio_powered(net::Technology::wlan, true);
+  ASSERT_TRUE(a_->set_radio_powered(net::Technology::wlan, true).ok());
 
   // b walks away at 1.5 m/s.
   medium_.set_mobility(b_->id(), std::make_unique<sim::LinearMobility>(

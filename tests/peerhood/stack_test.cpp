@@ -64,9 +64,9 @@ TEST_F(StackTest, SetRadioPoweredTogglesAdapter) {
   net::Adapter* adapter = medium_.adapter(stack.id(), net::Technology::bluetooth);
   ASSERT_NE(adapter, nullptr);
   EXPECT_TRUE(adapter->powered());
-  stack.set_radio_powered(net::Technology::bluetooth, false);
+  ASSERT_TRUE(stack.set_radio_powered(net::Technology::bluetooth, false).ok());
   EXPECT_FALSE(adapter->powered());
-  stack.set_radio_powered(net::Technology::bluetooth, true);
+  ASSERT_TRUE(stack.set_radio_powered(net::Technology::bluetooth, true).ok());
   EXPECT_TRUE(adapter->powered());
 }
 

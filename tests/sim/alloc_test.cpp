@@ -5,9 +5,10 @@
 // self-rescheduling chains across all wheel slots, schedule/cancel churn,
 // periodic tasks — and asserts the allocation counter does not move.
 // This is the property the whole event-kernel design (timer wheel + SBO
-// EventFn + FlatIdSet + slot-vector reuse) exists to provide; a regression
-// in any of those layers (a closure growing past the inline buffer, a
-// vector losing its capacity, a set re-hashing per op) fails this test.
+// EventFn + free-listed closure cells whose stamps carry liveness +
+// slot-vector reuse) exists to provide; a regression in any of those
+// layers (a closure growing past the inline buffer, a vector losing its
+// capacity, a cell table regrowing per op) fails this test.
 //
 // Lives in its own binary: the interposer is process-global and must not
 // contaminate unrelated tests.
@@ -83,8 +84,8 @@ TEST(SimulatorAllocation, SteadyStateSchedulesWithoutHeapAllocation) {
                           2'097'152u, 134'217'728u}) {
     arm_chain(simulator, period, &fired);
   }
-  // Schedule/cancel churn, one level-1 window ahead: exercises
-  // note_cancelled and the compaction path on every slot in turn.
+  // Schedule/cancel churn, one level-1 window ahead: exercises the
+  // queue's cancel and its compaction path on every slot in turn.
   std::uint64_t cancel_victims = 0;
   simulator.schedule_periodic(Duration{4'096}, [&simulator,
                                                 &cancel_victims] {

@@ -1,17 +1,21 @@
 // Property tests for the event queue.
 //
 // The timer wheel earns its keep only if it is *indistinguishable* from a
-// plain binary heap: same (when, id) pop order for every workload,
+// plain binary heap: same (when, seq) pop order for every workload,
 // including same-timestamp ties, cancellations, far-future overflow
 // entries and wheel cascades. The lockstep tests drive the wheel and the
 // reference heap below with identical randomized workloads and compare
-// every popped entry; the simulator-level test checks the public
-// Simulator API against an execution order computed from the schedule.
+// every popped entry and every pending/cancel answer; the reference keeps
+// its own set of live events, the record the wheel's cell stamps replace.
+// The simulator-level test checks the public Simulator API against an
+// execution order computed from the schedule.
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <memory>
 #include <random>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,35 +25,6 @@
 
 namespace ph::sim {
 namespace {
-
-TEST(FlatIdSet, InsertContainsErase) {
-  FlatIdSet set;
-  EXPECT_FALSE(set.contains(1));
-  EXPECT_TRUE(set.insert(1));
-  EXPECT_FALSE(set.insert(1));  // duplicate
-  EXPECT_TRUE(set.contains(1));
-  EXPECT_EQ(set.size(), 1u);
-  EXPECT_TRUE(set.erase(1));
-  EXPECT_FALSE(set.erase(1));
-  EXPECT_FALSE(set.contains(1));
-  EXPECT_EQ(set.size(), 0u);
-}
-
-TEST(FlatIdSet, IdZeroIsRejectedNotCorrupting) {
-  // 0 is the empty-slot marker. erase(0) once "found" the first empty slot,
-  // shifted live entries around a fake hole and underflowed size_ — after
-  // which every insert re-grew the table (observed as multi-GB blowup when
-  // a scenario cancelled a zero-initialised, never-armed event handle).
-  FlatIdSet set;
-  EXPECT_FALSE(set.erase(0));
-  EXPECT_FALSE(set.insert(0));
-  EXPECT_FALSE(set.contains(0));
-  EXPECT_EQ(set.size(), 0u);
-  for (EventId id = 1; id <= 100; ++id) EXPECT_TRUE(set.insert(id));
-  for (int round = 0; round < 1000; ++round) EXPECT_FALSE(set.erase(0));
-  EXPECT_EQ(set.size(), 100u);
-  for (EventId id = 1; id <= 100; ++id) EXPECT_TRUE(set.contains(id));
-}
 
 TEST(SimulatorCancel, NeverArmedHandleIsHarmless) {
   Simulator simulator;
@@ -64,38 +39,6 @@ TEST(SimulatorCancel, NeverArmedHandleIsHarmless) {
   EXPECT_TRUE(simulator.pending(armed));
   simulator.run_all();
   EXPECT_TRUE(ran);
-}
-
-TEST(FlatIdSet, GrowsPastInitialCapacityAndKeepsMembership) {
-  FlatIdSet set;
-  const std::size_t n = 10'000;  // forces several grows past 1024 slots
-  for (EventId id = 1; id <= n; ++id) EXPECT_TRUE(set.insert(id));
-  EXPECT_EQ(set.size(), n);
-  for (EventId id = 1; id <= n; ++id) EXPECT_TRUE(set.contains(id));
-  // Erase odd ids; evens must survive the backward-shift deletions.
-  for (EventId id = 1; id <= n; id += 2) EXPECT_TRUE(set.erase(id));
-  for (EventId id = 1; id <= n; ++id) {
-    EXPECT_EQ(set.contains(id), id % 2 == 0) << id;
-  }
-}
-
-TEST(FlatIdSet, RandomizedAgainstReference) {
-  std::mt19937_64 rng(0xF1A75E7u);
-  FlatIdSet set;
-  std::vector<bool> reference(4096, false);
-  for (int round = 0; round < 100'000; ++round) {
-    const EventId id = 1 + rng() % 4095;
-    if (rng() % 2 == 0) {
-      EXPECT_EQ(set.insert(id), !reference[id]);
-      reference[id] = true;
-    } else {
-      EXPECT_EQ(set.erase(id), static_cast<bool>(reference[id]));
-      reference[id] = false;
-    }
-  }
-  for (EventId id = 1; id < 4096; ++id) {
-    ASSERT_EQ(set.contains(id), static_cast<bool>(reference[id])) << id;
-  }
 }
 
 TEST(EventFn, InlineAndHeapCallablesBothWork) {
@@ -120,21 +63,25 @@ TEST(EventFn, InlineAndHeapCallablesBothWork) {
   EXPECT_EQ(hits, 84);
 }
 
-/// Reference queue: one std::push_heap min-heap ordered by (when, id) that
-/// discards cancelled entries when it reaches them. It is the oracle the
-/// lockstep tests compare the wheel's pop order against.
+/// Reference queue: one std::push_heap min-heap ordered by (when, seq)
+/// plus a set of the live sequence numbers; cancelled entries are
+/// discarded when reached. It is the oracle the lockstep tests compare the
+/// wheel's pop order and liveness answers against.
 class BinaryHeapQueue {
  public:
-  explicit BinaryHeapQueue(const FlatIdSet& live) : live_(live) {}
-
-  void push(Time when, EventId id, EventFn fn) {
-    heap_.push_back(QueueEntry{when, id, 0, std::move(fn)});
+  std::uint64_t push(Time when, EventFn fn) {
+    const std::uint64_t seq = ++last_seq_;
+    heap_.push_back(QueueEntry{when, seq, 0, std::move(fn)});
     std::push_heap(heap_.begin(), heap_.end(), QueueLater{});
+    live_.insert(seq);
+    return seq;
   }
+
+  bool cancel(std::uint64_t seq) { return live_.erase(seq) > 0; }
 
   bool pop_next(Time until, QueueEntry& out) {
     while (!heap_.empty()) {
-      if (!live_.contains(heap_.front().id)) {
+      if (!live_.contains(heap_.front().seq)) {
         std::pop_heap(heap_.begin(), heap_.end(), QueueLater{});
         heap_.pop_back();
         continue;
@@ -143,31 +90,42 @@ class BinaryHeapQueue {
       std::pop_heap(heap_.begin(), heap_.end(), QueueLater{});
       out = std::move(heap_.back());
       heap_.pop_back();
+      live_.erase(out.seq);
       return true;
     }
     return false;
   }
 
   std::size_t stored() const noexcept { return heap_.size(); }
+  std::size_t live() const noexcept { return live_.size(); }
 
  private:
-  const FlatIdSet& live_;
+  std::uint64_t last_seq_ = 0;
+  std::unordered_set<std::uint64_t> live_;
   std::vector<QueueEntry> heap_;
 };
 
+/// One event scheduled in both queues: the wheel's handle and the
+/// reference's sequence number.
+struct Armed {
+  EventId handle = 0;
+  std::uint64_t seq = 0;
+};
+
 /// Drives `wheel` and `heap` with an identical workload and asserts every
-/// pop matches. Reports the number of events popped via `popped_out`
-/// (ASSERT_* needs a void-returning function).
+/// pop and every liveness answer matches. Reports the number of events
+/// popped via `popped_out` (ASSERT_* needs a void-returning function).
 void run_lockstep(std::uint64_t seed, int rounds, Time max_delay,
                   std::size_t* popped_out = nullptr) {
   std::mt19937_64 rng(seed);
-  FlatIdSet live_wheel, live_heap;
-  TimerWheelQueue wheel(live_wheel);
-  BinaryHeapQueue heap(live_heap);
+  TimerWheelQueue wheel;
+  BinaryHeapQueue heap;
 
   Time now = 0;
-  EventId next_id = 1;
-  std::vector<EventId> live_ids;
+  std::vector<Armed> live;
+  // Handles of events that fired or were cancelled: their cells are
+  // reused, and a stale handle must never reach the event that reuses one.
+  std::vector<EventId> stale;
   std::size_t popped = 0;
 
   for (int round = 0; round < rounds; ++round) {
@@ -183,23 +141,32 @@ void run_lockstep(std::uint64_t seed, int rounds, Time max_delay,
         case 3: delay = rng() % 80'000'000; break;           // level 1/2
         default: delay = rng() % (2 * max_delay); break;     // deep + overflow
       }
-      const EventId id = next_id++;
-      live_wheel.insert(id);
-      live_heap.insert(id);
-      wheel.push(now + delay, id, EventFn([] {}));
-      heap.push(now + delay, id, EventFn([] {}));
-      live_ids.push_back(id);
-    } else if (op < 70 && !live_ids.empty()) {
-      // Cancel a random live event in both.
-      const std::size_t pick = rng() % live_ids.size();
-      const EventId id = live_ids[pick];
-      live_ids.erase(live_ids.begin() + static_cast<std::ptrdiff_t>(pick));
-      live_wheel.erase(id);
-      live_heap.erase(id);
-      wheel.note_cancelled();
+      const EventId handle = wheel.push(now + delay, EventFn([] {}));
+      const std::uint64_t seq = heap.push(now + delay, EventFn([] {}));
+      ASSERT_NE(handle, EventId{}) << "seed " << seed;
+      ASSERT_EQ(wheel.last_seq(), seq) << "seed " << seed;
+      ASSERT_TRUE(wheel.pending(handle)) << "seed " << seed;
+      // The free list is LIFO, so this push most likely reused the cell
+      // of the event that fired or was reaped last; its old handle must
+      // not reach the new event.
+      if (!stale.empty()) {
+        ASSERT_FALSE(wheel.pending(stale.back())) << "seed " << seed;
+        ASSERT_FALSE(wheel.cancel(stale.back())) << "seed " << seed;
+      }
+      live.push_back({handle, seq});
+    } else if (op < 70 && !live.empty()) {
+      // Cancel a random live event in both; a second cancel must miss.
+      const std::size_t pick = rng() % live.size();
+      const Armed event = live[pick];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      ASSERT_TRUE(heap.cancel(event.seq));
+      ASSERT_TRUE(wheel.cancel(event.handle)) << "seed " << seed;
+      ASSERT_FALSE(wheel.pending(event.handle)) << "seed " << seed;
+      ASSERT_FALSE(wheel.cancel(event.handle)) << "seed " << seed;
+      stale.push_back(event.handle);
     } else {
       // Pop everything up to a random horizon; both queues must yield the
-      // exact same (when, id) sequence.
+      // exact same (when, seq) sequence.
       const Time until = now + rng() % (max_delay / 4 + 1);
       QueueEntry from_wheel, from_heap;
       while (true) {
@@ -208,16 +175,28 @@ void run_lockstep(std::uint64_t seed, int rounds, Time max_delay,
         ASSERT_EQ(got_wheel, got_heap) << "seed " << seed;
         if (!got_wheel) break;
         ASSERT_EQ(from_wheel.when, from_heap.when) << "seed " << seed;
-        ASSERT_EQ(from_wheel.id, from_heap.id) << "seed " << seed;
+        ASSERT_EQ(from_wheel.seq, from_heap.seq) << "seed " << seed;
         ASSERT_GE(from_wheel.when, now);
         now = from_wheel.when;  // simulator semantics: time follows pops
-        live_wheel.erase(from_wheel.id);
-        live_heap.erase(from_heap.id);
-        std::erase(live_ids, from_wheel.id);
+        const auto fired =
+            std::find_if(live.begin(), live.end(), [&](const Armed& e) {
+              return e.seq == from_wheel.seq;
+            });
+        ASSERT_NE(fired, live.end()) << "seed " << seed;
+        ASSERT_FALSE(wheel.pending(fired->handle)) << "seed " << seed;
+        stale.push_back(fired->handle);
+        live.erase(fired);
         ++popped;
       }
       now = until;
     }
+    ASSERT_EQ(wheel.live(), heap.live()) << "seed " << seed;
+  }
+  for (const Armed& event : live) {
+    ASSERT_TRUE(wheel.pending(event.handle)) << "seed " << seed;
+  }
+  for (const EventId handle : stale) {
+    ASSERT_FALSE(wheel.pending(handle)) << "seed " << seed;
   }
 
   // Full drain: remaining events must come out in the same total order.
@@ -231,13 +210,12 @@ void run_lockstep(std::uint64_t seed, int rounds, Time max_delay,
     EXPECT_EQ(got_wheel, got_heap) << "seed " << seed;
     if (!got_wheel || !got_heap) break;
     EXPECT_EQ(from_wheel.when, from_heap.when) << "seed " << seed;
-    EXPECT_EQ(from_wheel.id, from_heap.id) << "seed " << seed;
-    live_wheel.erase(from_wheel.id);
-    live_heap.erase(from_heap.id);
+    EXPECT_EQ(from_wheel.seq, from_heap.seq) << "seed " << seed;
     ++popped;
   }
   EXPECT_EQ(wheel.stored(), 0u);
   EXPECT_EQ(heap.stored(), 0u);
+  EXPECT_EQ(wheel.live(), 0u);
   if (popped_out != nullptr) *popped_out = popped;
 }
 
@@ -268,23 +246,16 @@ TEST(EventQueueLockstep, ManySeeds) {
 }
 
 TEST(TimerWheelQueue, DrainedBeforeIsMonotonic) {
-  FlatIdSet live;
-  TimerWheelQueue wheel(live);
+  TimerWheelQueue wheel;
   std::mt19937_64 rng(42);
   Time now = 0;
-  EventId next_id = 1;
   Time last_drained = wheel.drained_before();
   for (int i = 0; i < 5'000; ++i) {
-    const EventId id = next_id++;
-    live.insert(id);
-    wheel.push(now + rng() % 1'000'000, id, EventFn([] {}));
+    wheel.push(now + rng() % 1'000'000, EventFn([] {}));
     if (i % 3 == 0) {
       QueueEntry out;
       const Time until = now + rng() % 400'000;
-      while (wheel.pop_next(until, out)) {
-        live.erase(out.id);
-        now = out.when;
-      }
+      while (wheel.pop_next(until, out)) now = out.when;
       now = until;
       EXPECT_GE(wheel.drained_before(), last_drained);
       last_drained = wheel.drained_before();
@@ -299,30 +270,23 @@ TEST(TimerWheelQueue, DrainedBeforeIsMonotonic) {
 /// crossing. The buggy wheel filed C straight into level 0 and fired it
 /// before the earlier parked A; entering a window must cascade it first.
 void run_boundary_starvation(Time window) {
-  FlatIdSet live_wheel, live_heap;
-  TimerWheelQueue wheel(live_wheel);
-  BinaryHeapQueue heap(live_heap);
-  EventId next_id = 1;
+  TimerWheelQueue wheel;
+  BinaryHeapQueue heap;
   auto push_both = [&](Time when) {
-    const EventId id = next_id++;
-    live_wheel.insert(id);
-    live_heap.insert(id);
-    wheel.push(when, id, EventFn([] {}));
-    heap.push(when, id, EventFn([] {}));
+    wheel.push(when, EventFn([] {}));
+    heap.push(when, EventFn([] {}));
   };
   auto pop_both_until = [&](Time until) {
     QueueEntry from_wheel, from_heap;
-    std::vector<std::pair<Time, EventId>> order;
+    std::vector<std::pair<Time, std::uint64_t>> order;
     while (true) {
       const bool got_wheel = wheel.pop_next(until, from_wheel);
       const bool got_heap = heap.pop_next(until, from_heap);
       EXPECT_EQ(got_wheel, got_heap);
       if (!got_wheel || !got_heap) break;
       EXPECT_EQ(from_wheel.when, from_heap.when);
-      EXPECT_EQ(from_wheel.id, from_heap.id);
-      live_wheel.erase(from_wheel.id);
-      live_heap.erase(from_heap.id);
-      order.emplace_back(from_wheel.when, from_wheel.id);
+      EXPECT_EQ(from_wheel.seq, from_heap.seq);
+      order.emplace_back(from_wheel.when, from_wheel.seq);
     }
     return order;
   };
@@ -348,38 +312,35 @@ TEST(TimerWheelQueue, ParkedLevel2EntrySurvivesBusyBoundaryCrossing) {
 }
 
 TEST(TimerWheelQueue, OverflowDrainsIntoWheel) {
-  FlatIdSet live;
-  TimerWheelQueue wheel(live);
+  TimerWheelQueue wheel;
   const Time horizon = Time{1} << 34;  // wheel span
-  live.insert(1);
-  wheel.push(horizon + 5'000'000, 1, EventFn([] {}));
+  const EventId id = wheel.push(horizon + 5'000'000, EventFn([] {}));
   EXPECT_EQ(wheel.overflow_size(), 1u);
+  EXPECT_EQ(wheel.next_due_bound(), horizon + 5'000'000);
   QueueEntry out;
   ASSERT_TRUE(wheel.pop_next(horizon + 10'000'000, out));
-  EXPECT_EQ(out.id, 1u);
+  EXPECT_EQ(out.seq, 1u);
+  EXPECT_FALSE(wheel.pending(id));
   EXPECT_EQ(out.when, horizon + 5'000'000);
   EXPECT_EQ(wheel.overflow_size(), 0u);
 }
 
 TEST(EventQueue, CancelledEntriesCompactOnceTheyDominate) {
-  FlatIdSet live;
-  TimerWheelQueue wheel(live);
+  TimerWheelQueue wheel;
   // 40 live + 40 cancelled: 40 dead >= 32 and 2*40 >= 80 stored, so the
   // policy (mirroring Medium::note_dead_link) must have compacted.
-  for (EventId id = 1; id <= 80; ++id) {
-    live.insert(id);
-    wheel.push(1'000 + id, id, EventFn([] {}));
+  std::vector<EventId> ids;
+  for (Time k = 1; k <= 80; ++k) {
+    ids.push_back(wheel.push(1'000 + k, EventFn([] {})));
   }
-  for (EventId id = 1; id <= 40; ++id) {
-    live.erase(id);
-    wheel.note_cancelled();
-  }
+  for (std::size_t k = 0; k < 40; ++k) EXPECT_TRUE(wheel.cancel(ids[k]));
   EXPECT_EQ(wheel.dead(), 0u) << "compaction should have run";
   EXPECT_EQ(wheel.stored(), 40u);
+  EXPECT_EQ(wheel.live(), 40u);
   QueueEntry out;
   std::size_t fired = 0;
   while (wheel.pop_next(Time{10'000}, out)) {
-    EXPECT_GT(out.id, 40u);
+    EXPECT_GT(out.seq, 40u);
     ++fired;
   }
   EXPECT_EQ(fired, 40u);
@@ -425,41 +386,101 @@ TEST(TimerWheelQueue, DispatchSchedulesFarPastTheFirstCellChunk) {
 }
 
 TEST(TimerWheelQueue, CancelledClosureIsReleasedWhenReachedOrCompacted) {
-  FlatIdSet live;
   auto token = std::make_shared<int>(7);
   {
-    TimerWheelQueue wheel(live);
+    TimerWheelQueue wheel;
     // Reached: cancellation is lazy, so the closure (and its reference)
     // lives until the wheel reaches the key.
-    live.insert(1);
-    wheel.push(5'000, 1, [token] {});
-    live.insert(2);
-    wheel.push(9'000, 2, [] {});
-    live.erase(1);
-    wheel.note_cancelled();
+    const EventId first = wheel.push(5'000, [token] {});
+    wheel.push(9'000, [] {});
+    EXPECT_TRUE(wheel.cancel(first));
     EXPECT_EQ(token.use_count(), 2) << "released before its key was reached";
     QueueEntry out;
     ASSERT_TRUE(wheel.pop_next(Time{10'000}, out));
-    EXPECT_EQ(out.id, 2u);
+    EXPECT_EQ(out.seq, 2u);
     EXPECT_EQ(token.use_count(), 1) << "reached key kept its closure";
     EXPECT_EQ(wheel.dead(), 0u);
 
     // Compacted: 40 cancelled among 80 stored trips the policy; every
     // cancelled closure goes with it, the live ones stay.
-    for (EventId id = 10; id < 90; ++id) {
-      live.insert(id);
-      wheel.push(Time{200'000} + id * 3'000, id, [token] {});
+    std::vector<EventId> ids;
+    for (Time k = 10; k < 90; ++k) {
+      ids.push_back(wheel.push(Time{200'000} + k * 3'000, [token] {}));
     }
     EXPECT_EQ(token.use_count(), 81);
-    for (EventId id = 10; id < 50; ++id) {
-      live.erase(id);
-      wheel.note_cancelled();
-    }
+    for (std::size_t k = 0; k < 40; ++k) EXPECT_TRUE(wheel.cancel(ids[k]));
     EXPECT_EQ(wheel.dead(), 0u) << "compaction should have run";
     EXPECT_EQ(token.use_count(), 41);
     // The queue's destructor releases what is still stored.
   }
   EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(TimerWheelQueue, StaleHandleMatchesNothingOnceItsCellIsReused) {
+  TimerWheelQueue wheel;
+  EXPECT_FALSE(wheel.pending(EventId{}));
+  EXPECT_FALSE(wheel.cancel(EventId{}));
+  const EventId fired = wheel.push(1'000, [] {});
+  ASSERT_NE(fired, EventId{});
+  QueueEntry out;
+  ASSERT_TRUE(wheel.pop_next(Time{1'000}, out));
+  EXPECT_FALSE(wheel.pending(fired));
+  // The free list hands the fired event's cell to the next push.
+  const EventId reuse = wheel.push(2'000, [] {});
+  EXPECT_EQ(reuse & ((EventId{1} << TimerWheelQueue::kCellBits) - 1),
+            fired & ((EventId{1} << TimerWheelQueue::kCellBits) - 1))
+      << "the cell was not reused, so this test proves nothing";
+  EXPECT_NE(reuse, fired);
+  EXPECT_FALSE(wheel.pending(fired));
+  EXPECT_FALSE(wheel.cancel(fired));
+  EXPECT_TRUE(wheel.pending(reuse));
+  EXPECT_EQ(wheel.live(), 1u);
+  ASSERT_TRUE(wheel.pop_next(Time{2'000}, out));
+  EXPECT_EQ(out.seq, 2u);
+}
+
+TEST(TimerWheelQueue, SequenceBoundHoldsBackLaterPushes) {
+  // The socket loop fires, per round, only the timers scheduled before the
+  // round began: pop_next's last_seq bound.
+  TimerWheelQueue wheel;
+  wheel.push(100, [] {});
+  wheel.push(100, [] {});
+  const std::uint64_t bound = wheel.last_seq();
+  wheel.push(50, [] {});   // earlier, but pushed after the bound
+  wheel.push(100, [] {});  // same due point, pushed after the bound
+  QueueEntry out;
+  std::vector<std::uint64_t> round;
+  // seq 3 is the earliest key, so it ends the round before anything fires.
+  EXPECT_FALSE(wheel.pop_next(Time{100}, out, bound));
+  while (wheel.pop_next(Time{100}, out)) round.push_back(out.seq);
+  EXPECT_EQ(round, (std::vector<std::uint64_t>{3, 1, 2, 4}));
+
+  wheel.push(200, [] {});
+  wheel.push(200, [] {});
+  const std::uint64_t second = wheel.last_seq();
+  wheel.push(200, [] {});
+  round.clear();
+  while (wheel.pop_next(Time{200}, out, second)) round.push_back(out.seq);
+  EXPECT_EQ(round, (std::vector<std::uint64_t>{5, 6}));
+  EXPECT_EQ(wheel.live(), 1u);
+}
+
+TEST(TimerWheelQueue, NextDueBoundNeverAdvancesTheWheel) {
+  TimerWheelQueue wheel;
+  EXPECT_EQ(wheel.next_due_bound(), std::numeric_limits<Time>::max());
+  std::mt19937_64 rng(99);
+  Time now = 0;
+  for (int i = 0; i < 3'000; ++i) {
+    wheel.push(now + rng() % 100'000'000, [] {});
+    if (i % 5 != 0) continue;
+    const Time drained = wheel.drained_before();
+    const Time bound = wheel.next_due_bound();
+    EXPECT_EQ(wheel.drained_before(), drained);
+    QueueEntry out;
+    ASSERT_TRUE(wheel.pop_next(~Time{0}, out));
+    EXPECT_LE(bound, out.when);
+    now = out.when;
+  }
 }
 
 TEST(SimulatorLockstep, ExecutionMatchesScheduleOrder) {

@@ -25,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "peerhood/stack.hpp"
 #include "proto/frame.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "tests/testutil/flight_guard.hpp"
 #include "transport/sim_transport.hpp"
@@ -577,6 +578,58 @@ TEST_P(TransportConformance, CountsTheSameExchangeTheSame) {
   EXPECT_EQ(delta, expected);
 }
 
+// Both schedulers keep their timers in a sim::TimerWheelQueue and answer
+// pending/cancel from its cell stamps. A handle is pending until its
+// event fires or is cancelled; cancelling twice, or cancelling the
+// never-armed EventId{}, is false; and the handle of a fired event cannot
+// reach the later event that took over its queue cell.
+TEST_P(TransportConformance, SchedulerCancelsAndReportsPending) {
+  Scheduler& s = transport_->scheduler();
+  EXPECT_FALSE(s.cancel(sim::EventId{}));
+  EXPECT_FALSE(s.pending(sim::EventId{}));
+
+  int kept = 0;
+  int dropped = 0;
+  int later_runs = 0;
+  sim::EventId later{};
+  const sim::EventId keep = s.schedule(sim::milliseconds(10), [&] {
+    ++kept;
+    // The queue frees a timer's cell before running it and hands out
+    // cells last-freed first, so this timer takes over `keep`'s cell.
+    later = s.schedule(sim::milliseconds(10), [&] { ++later_runs; });
+  });
+  const sim::EventId drop =
+      s.schedule(sim::milliseconds(10), [&] { ++dropped; });
+  ASSERT_NE(keep, sim::EventId{});
+  ASSERT_NE(keep, drop);
+  EXPECT_TRUE(s.pending(keep));
+  EXPECT_TRUE(s.pending(drop));
+  EXPECT_TRUE(s.cancel(drop));
+  EXPECT_FALSE(s.pending(drop));
+  EXPECT_FALSE(s.cancel(drop));
+  EXPECT_TRUE(s.pending(keep));
+
+  ASSERT_TRUE(pump_until([&] { return kept > 0; }, sim::seconds(5),
+                         sim::milliseconds(5)));
+  EXPECT_FALSE(s.pending(keep));
+  ASSERT_NE(later, sim::EventId{});
+  constexpr sim::EventId kCellMask =
+      (sim::EventId{1} << sim::TimerWheelQueue::kCellBits) - 1;
+  EXPECT_EQ(later & kCellMask, keep & kCellMask)
+      << "the later timer did not reuse the fired one's cell";
+  EXPECT_NE(later, keep);
+  EXPECT_FALSE(s.cancel(keep)) << "a fired handle reached a later timer";
+  EXPECT_TRUE(s.pending(later));
+
+  ASSERT_TRUE(pump_until([&] { return later_runs > 0; }, sim::seconds(5),
+                         sim::milliseconds(5)));
+  s.run_for(sim::milliseconds(50));
+  EXPECT_EQ(kept, 1);
+  EXPECT_EQ(later_runs, 1);
+  EXPECT_EQ(dropped, 0);
+  EXPECT_FALSE(s.pending(later));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, TransportConformance, ::testing::Values("sim", "socket"),
     [](const auto& info) { return std::string(info.param); });
@@ -785,8 +838,15 @@ TEST(SocketSyscalls, RequestReplyCostsOneSendAndOneRecvPerSide) {
   using peerhood::Stack;
   using peerhood::StackConfig;
 
-  SocketWorld world;
-  Transport& transport = world.transport();
+  // Its own transport at fleet's 20x, not SocketWorld's 500x: the 30 s
+  // virtual budgets below are then 1.5 s of wall clock, not 60 ms, which
+  // a sanitizer build's hundred round trips can outlast.
+  SocketTransport transport{[] {
+    SocketTransportConfig config;
+    config.time_scale = 20.0;
+    config.seed = 7;
+    return config;
+  }()};
   peerhood::DaemonConfig daemon_config;
   daemon_config.inquiry_interval = sim::seconds(1);
   daemon_config.ping_interval = sim::milliseconds(500);
