@@ -1,11 +1,10 @@
-#include "net/medium.hpp"
 #include "eval/scenarios.hpp"
 
 #include "util/check.hpp"
 
 namespace ph::eval {
 
-std::vector<ScenarioDevice> build_seats(net::Medium& medium,
+std::vector<ScenarioDevice> build_seats(transport::Transport& transport,
                                         const std::vector<SeatSpec>& seats,
                                         const net::TechProfile& radio,
                                         bool autostart) {
@@ -19,7 +18,8 @@ std::vector<ScenarioDevice> build_seats(net::Medium& medium,
     config.radios = {radio};
     config.autostart = autostart;
     device.stack = std::make_unique<peerhood::Stack>(
-        medium, std::make_unique<sim::StaticMobility>(seat.position), config);
+        transport, std::move(config),
+        std::make_unique<sim::StaticMobility>(seat.position));
     device.app = std::make_unique<community::CommunityApp>(*device.stack);
     auto account = device.app->create_account(seat.member, "pw");
     PH_CHECK(account.ok());
@@ -32,13 +32,14 @@ std::vector<ScenarioDevice> build_seats(net::Medium& medium,
   return devices;
 }
 
-std::vector<ScenarioDevice> comlab_room(net::Medium& medium, bool autostart) {
+std::vector<ScenarioDevice> comlab_room(transport::Transport& transport,
+                                        bool autostart) {
   // The thesis' testbed Bluetooth: 3COM class-2 dongles. Deterministic
   // detection keeps experiment columns reproducible; loss stays enabled on
   // the data path.
   net::TechProfile radio = net::bluetooth_2_0();
   radio.inquiry_detect_prob = 1.0;
-  return build_seats(medium,
+  return build_seats(transport,
                      {
                          {"tester", {0.0, 0.0}, {"Football"}},
                          {"dave", {2.5, 0.0}, {"Football"}},

@@ -31,10 +31,10 @@ struct SeatSpec {
   std::vector<std::string> interests;
 };
 
-/// Builds PeerHood Community devices in `medium`, one per seat, each with
-/// a created + logged-in account. Daemons are left stopped when
+/// Builds PeerHood Community devices on `transport`, one per seat, each
+/// with a created + logged-in account. Daemons are left stopped when
 /// `autostart` is false so a measurement can start them together at t=0.
-std::vector<ScenarioDevice> build_seats(net::Medium& medium,
+std::vector<ScenarioDevice> build_seats(transport::Transport& transport,
                                         const std::vector<SeatSpec>& seats,
                                         const net::TechProfile& radio,
                                         bool autostart);
@@ -43,7 +43,7 @@ std::vector<ScenarioDevice> build_seats(net::Medium& medium,
 /// measuring laptop ("tester") plus Desktop PC1 ("dave") and the second
 /// machine ("emma"), a few metres apart, Bluetooth only, all interested in
 /// Football — the interest group the thesis' Table 8 tasks exercise.
-std::vector<ScenarioDevice> comlab_room(net::Medium& medium,
+std::vector<ScenarioDevice> comlab_room(transport::Transport& transport,
                                         bool autostart = false);
 
 }  // namespace ph::eval

@@ -90,6 +90,14 @@ NodeId Medium::add_node(std::string name,
   return id;
 }
 
+NodeId Medium::add_device(std::string name,
+                          std::unique_ptr<sim::MobilityModel> mobility) {
+  if (mobility == nullptr) {
+    mobility = std::make_unique<sim::StaticMobility>(sim::Vec2{0.0, 0.0});
+  }
+  return add_node(std::move(name), std::move(mobility));
+}
+
 void Medium::set_mobility(NodeId node,
                           std::unique_ptr<sim::MobilityModel> mobility) {
   assert(mobility != nullptr);

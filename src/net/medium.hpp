@@ -3,10 +3,11 @@
 // Owns the node registry (position = mobility model sampled at virtual
 // time), one Adapter per (device, technology), and the frame-delivery
 // machinery: reachability, signal strength, bandwidth serialization,
-// propagation latency, loss/retransmission and link breakage. Adapters are
-// the simulated substrate's transport endpoints and each side of a link is
-// a transport channel, so the Medium counts the common `transport.*`
-// family itself, inline where frames are sent, delivered and broken.
+// propagation latency, loss/retransmission and link breakage. The Medium
+// is the simulated backend of ph::transport: its adapters are the
+// endpoints, each side of a link is a channel and its scheduler is a view
+// of the simulator, so the Medium counts the common `transport.*` family
+// itself, inline where frames are sent, delivered and broken.
 //
 // This is the substitution for the thesis' physical testbed (ComLab room
 // 6604, Bluetooth dongles, people carrying laptops): every quantity the
@@ -68,7 +69,7 @@ struct MediumConfig {
   double spatial_cell_m = 0.0;
 };
 
-class Medium {
+class Medium final : public transport::Transport {
  public:
   /// Per-technology byte accounting. The thesis' cost argument ("the cost
   /// of data service is low as Bluetooth and WLAN can be primely used",
@@ -85,7 +86,23 @@ class Medium {
   Medium(sim::Simulator& simulator, sim::Rng rng, MediumConfig config = {});
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
-  ~Medium();
+  ~Medium() override;
+
+  // --- transport::Transport -----------------------------------------------
+  const char* name() const override { return "sim"; }
+  transport::Scheduler& scheduler() override { return scheduler_; }
+  const transport::Scheduler& scheduler() const override {
+    return scheduler_;
+  }
+  /// add_node, with a null mobility standing still at the origin.
+  NodeId add_device(std::string name,
+                    std::unique_ptr<sim::MobilityModel> mobility) override;
+  transport::Endpoint& add_endpoint(NodeId node, TechProfile profile) override {
+    return add_adapter(node, std::move(profile));
+  }
+  transport::Endpoint* endpoint(NodeId node, Technology tech) override {
+    return adapter(node, tech);
+  }
 
   // --- world ------------------------------------------------------------
   /// Adds a device to the world. Ids start at 1 and are dense.
@@ -150,7 +167,7 @@ class Medium {
   /// (snapshot of the registry's `net.tech.<name>.*` counters).
   TechTraffic traffic(Technology tech) const;
   sim::Simulator& simulator() noexcept { return simulator_; }
-  sim::Rng& rng() noexcept { return rng_; }
+  sim::Rng& rng() noexcept override { return rng_; }
 
   // --- fault plane ---------------------------------------------------------
   /// Installs (or, with nullptr, removes) the world's fault injector. The
@@ -171,19 +188,38 @@ class Medium {
   /// bumps an epoch and the memo clears lazily on next lookup.
   void invalidate_signal_memo() noexcept { ++world_epoch_; }
 
-  /// The world's metrics registry. The Medium is the root object every
-  /// layer can reach (daemon → medium, stack → medium), so it owns the
+  /// The world's metrics registry. The Medium is the transport every
+  /// layer reaches (daemon → transport, stack → transport), so it owns the
   /// per-world registry and trace journal that all layers publish into.
-  obs::Registry& registry() noexcept { return registry_; }
+  obs::Registry& registry() noexcept override { return registry_; }
   const obs::Registry& registry() const noexcept { return registry_; }
   /// The world's virtual-time trace journal (disabled by default; call
   /// trace().set_enabled(true) before the scenario starts to record).
-  obs::Trace& trace() noexcept { return trace_; }
+  obs::Trace& trace() noexcept override { return trace_; }
   const obs::Trace& trace() const noexcept { return trace_; }
 
  private:
   friend class Adapter;
   friend class detail::LinkSide;
+
+  /// The simulator seen through the transport clock interface.
+  class SimScheduler final : public transport::Scheduler {
+   public:
+    explicit SimScheduler(sim::Simulator& simulator) : simulator_(simulator) {}
+
+    sim::Time now() const override { return simulator_.now(); }
+    sim::EventId schedule(sim::Duration delay, sim::EventFn fn) override {
+      return simulator_.schedule(delay, std::move(fn));
+    }
+    bool cancel(sim::EventId id) override { return simulator_.cancel(id); }
+    bool pending(sim::EventId id) const override {
+      return simulator_.pending(id);
+    }
+    void run_until(sim::Time until) override { simulator_.run_until(until); }
+
+   private:
+    sim::Simulator& simulator_;
+  };
 
   /// Time to push `bytes` through the radio plus propagation, including
   /// randomized retransmission delays for reliable (link) traffic.
@@ -310,6 +346,7 @@ class Medium {
   void note_adapter_power(const Adapter& adapter, bool on) noexcept;
 
   sim::Simulator& simulator_;
+  SimScheduler scheduler_{simulator_};
   sim::Rng rng_;
   MediumConfig config_;
   obs::Registry registry_;

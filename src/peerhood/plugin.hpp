@@ -6,7 +6,7 @@
 // and library use: discovery, datagrams (daemon control traffic) and
 // channel establishment. Since the transport split, that vocabulary is
 // transport::Endpoint — the same plugin code drives a simulated adapter
-// (SimTransport) or a real socket pair (SocketTransport); the plugins'
+// (net::Medium) or a real socket pair (SocketTransport); the plugins'
 // value is the uniform interface, the preference ordering and
 // per-technology identity, exactly the role the thesis assigns them.
 #pragma once

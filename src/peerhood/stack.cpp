@@ -1,6 +1,5 @@
 #include "peerhood/stack.hpp"
 
-#include "transport/sim_transport.hpp"
 #include "util/check.hpp"
 
 namespace ph::peerhood {
@@ -32,17 +31,6 @@ transport::Transport& require_transport(const StackConfig& config) {
 Stack::Stack(StackConfig config, std::unique_ptr<sim::MobilityModel> mobility)
     : Stack(require_transport(config), std::move(config),
             std::move(mobility)) {}
-
-Stack::Stack(net::Medium& medium, std::unique_ptr<sim::MobilityModel> mobility,
-             StackConfig config)
-    : Stack(std::make_unique<transport::SimTransport>(medium),
-            std::move(config), std::move(mobility)) {}
-
-Stack::Stack(std::unique_ptr<transport::Transport> owned, StackConfig config,
-             std::unique_ptr<sim::MobilityModel> mobility)
-    : Stack(*owned, std::move(config), std::move(mobility)) {
-  owned_transport_ = std::move(owned);
-}
 
 Result<void> Stack::set_radio_powered(net::Technology tech, bool on) {
   transport::Endpoint* endpoint = transport_.endpoint(id_, tech);

@@ -3,7 +3,7 @@
 // Registers the device with a transport, creates one endpoint + plugin per
 // requested technology, the PeerHood daemon and the library facade.
 // Scenarios, examples and benches build their populations out of Stacks.
-// The transport decides the substrate: SimTransport for virtual-time
+// The transport decides the substrate: a net::Medium for virtual-time
 // simulation, SocketTransport for real sockets on loopback.
 #pragma once
 
@@ -14,10 +14,6 @@
 #include "peerhood/daemon.hpp"
 #include "peerhood/library.hpp"
 #include "transport/transport.hpp"
-
-namespace ph::net {
-class Medium;
-}
 
 namespace ph::peerhood {
 
@@ -65,10 +61,11 @@ class Stack {
   /// Builder form; config.transport must be set (with_transport).
   explicit Stack(StackConfig config,
                  std::unique_ptr<sim::MobilityModel> mobility = nullptr);
-  /// Simulated-medium shorthand: wraps `medium` in an owned SimTransport,
-  /// then assembles the device exactly like the primary constructor.
-  Stack(net::Medium& medium, std::unique_ptr<sim::MobilityModel> mobility,
-        StackConfig config);
+  /// The primary constructor with the mobility first, the argument order
+  /// older simulated-medium call sites use. Owns nothing.
+  Stack(transport::Transport& transport,
+        std::unique_ptr<sim::MobilityModel> mobility, StackConfig config)
+      : Stack(transport, std::move(config), std::move(mobility)) {}
   Stack(const Stack&) = delete;
   Stack& operator=(const Stack&) = delete;
 
@@ -93,13 +90,6 @@ class Stack {
   void restart();
 
  private:
-  /// Takes ownership of `owned`, then runs the primary constructor on it.
-  Stack(std::unique_ptr<transport::Transport> owned, StackConfig config,
-        std::unique_ptr<sim::MobilityModel> mobility);
-
-  /// Set only by the Medium constructor; destroyed after daemon_ and
-  /// library_, which hold references into it.
-  std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport& transport_;
   DeviceId id_;
   std::unique_ptr<Daemon> daemon_;

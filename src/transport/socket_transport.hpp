@@ -83,7 +83,6 @@ class SocketTransport final : public Transport {
   ~SocketTransport() override;
 
   const char* name() const override { return "socket"; }
-  bool simulated() const override { return false; }
 
   Scheduler& scheduler() override;
   const Scheduler& scheduler() const override;
@@ -183,7 +182,7 @@ class SocketTransport final : public Transport {
       endpoints_;
 
   /// Common `transport.*` handles (register_transport_metrics) — the
-  /// substrate-independent schema shared with SimTransport.
+  /// substrate-independent schema shared with the net::Medium backend.
   TransportMetrics metrics_;
 
   // Socket-only instruments (`transport.socket.*`).

@@ -6,10 +6,10 @@
 // ordered message streams) and a *scheduler* (timers + a clock). Two
 // backends implement it:
 //
-//   * SimTransport   (sim_transport.hpp)    — the simulated net::Medium +
-//     sim::Simulator. The Medium's adapters *are* its endpoints and each
-//     side of a Medium link *is* a channel, so there is no forwarding
-//     layer: same seed ⇒ same run.
+//   * net::Medium     (net/medium.hpp)       — the simulated radio world
+//     over a sim::Simulator. The Medium *is* the transport: its adapters
+//     are the endpoints, each side of a link is a channel and its
+//     scheduler is a view of the simulator: same seed ⇒ same run.
 //   * SocketTransport (socket_transport.hpp) — real POSIX sockets (UNIX
 //     domain datagram + stream) driven by an epoll wall-clock event loop,
 //     so actual daemon instances exchange the same wire formats over
@@ -21,8 +21,9 @@
 // socket backend maps them onto the wall clock (optionally compressed, see
 // SocketTransportConfig::time_scale).
 //
-// This header is self-contained (no library): ph_net implements Endpoint
-// and Channel without linking the backends in ph_transport.
+// This header is self-contained (no library): ph_net implements the
+// simulated backend without linking ph_transport, which holds the socket
+// one.
 #pragma once
 
 #include <functional>
@@ -292,14 +293,12 @@ class Transport {
 
   /// "sim" or "socket" — logs and bench labels.
   virtual const char* name() const = 0;
-  /// True when time and radio physics are simulated (virtual time).
-  virtual bool simulated() const = 0;
 
   virtual Scheduler& scheduler() = 0;
   virtual const Scheduler& scheduler() const = 0;
 
   /// The per-world metrics registry and virtual-time trace journal every
-  /// layer above publishes into (previously reached through net::Medium).
+  /// layer above publishes into.
   virtual obs::Registry& registry() = 0;
   virtual obs::Trace& trace() = 0;
 

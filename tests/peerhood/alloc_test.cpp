@@ -20,6 +20,7 @@
 // Lives in its own binary: the interposer is process-global and must not
 // contaminate unrelated tests.
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <memory>
@@ -34,7 +35,6 @@
 #include "peerhood/stack.hpp"
 #include "sim/simulator.hpp"
 #include "tests/testutil/sim_helpers.hpp"
-#include "transport/sim_transport.hpp"
 
 namespace {
 const ph::sim::Simulator* g_simulator = nullptr;
@@ -169,7 +169,7 @@ class ControlPlaneAllocation : public ::testing::Test {
           .with_name(name)
           .with_radios({lossless_bt()})
           .with_daemon(daemon)
-          .with_transport(transport_);
+          .with_transport(medium_);
     };
     a_ = std::make_unique<Stack>(
         config("a"), std::make_unique<sim::StaticMobility>(sim::Vec2{0, 0}));
@@ -203,7 +203,6 @@ class ControlPlaneAllocation : public ::testing::Test {
   sim::Simulator simulator_;
   net::Medium medium_{simulator_, sim::Rng(11),
                       net::MediumConfig{.use_spatial_index = false}};
-  transport::SimTransport transport_{medium_};
   std::unique_ptr<Stack> a_, b_;
   Connection server_;
 };
@@ -316,6 +315,39 @@ TEST_F(ControlPlaneAllocation, OpeningAConnectionStaysWithinBudget) {
   EXPECT_LE(total(allocations), 24u) << table(allocations);
   client.close();
   server_.close();
+}
+
+/// Heap allocations of one `build(medium)` on a fresh world, the fewest
+/// over several builds, so growth of the world's own per-node arrays
+/// does not count.
+template <typename Build>
+std::size_t fewest_build_allocations(Build build) {
+  sim::Simulator simulator;
+  net::Medium medium(simulator, sim::Rng(5));
+  std::size_t fewest = ~std::size_t{0};
+  for (int i = 0; i < 8; ++i) {
+    const AllocationWindow window;
+    const std::unique_ptr<Stack> stack = build(medium);
+    fewest = std::min(fewest, total(window.take()));
+  }
+  return fewest;
+}
+
+TEST(StackBuildAllocation, MobilityFirstOverloadCostsWhatThePrimaryCosts) {
+  const auto config = [] {
+    return StackConfig{}.with_radios({lossless_bt()}).with_autostart(false);
+  };
+  const auto mobility = [] {
+    return std::make_unique<sim::StaticMobility>(sim::Vec2{1, 2});
+  };
+  const std::size_t primary = fewest_build_allocations([&](net::Medium& m) {
+    return std::make_unique<Stack>(m, config(), mobility());
+  });
+  const std::size_t shorthand = fewest_build_allocations([&](net::Medium& m) {
+    return std::make_unique<Stack>(m, mobility(), config());
+  });
+  EXPECT_GT(primary, 0u);
+  EXPECT_EQ(shorthand, primary);
 }
 
 }  // namespace

@@ -5,26 +5,24 @@
 #include <memory>
 
 #include "net/medium.hpp"
-#include "transport/sim_transport.hpp"
 
 namespace ph::peerhood {
 namespace {
 
 class PluginTest : public ::testing::Test {
  protected:
-  PluginTest() : medium_(simulator_, sim::Rng(4)), transport_(medium_) {
-    device_ = transport_.add_device(
+  PluginTest() : medium_(simulator_, sim::Rng(4)) {
+    device_ = medium_.add_device(
         "dev", std::make_unique<sim::StaticMobility>(sim::Vec2{0, 0}));
   }
 
   /// Installs a radio on the device and wraps its endpoint in a plugin.
   std::unique_ptr<NetworkPlugin> plugin_for(net::TechProfile profile) {
-    return make_plugin(transport_.add_endpoint(device_, std::move(profile)));
+    return make_plugin(medium_.add_endpoint(device_, std::move(profile)));
   }
 
   sim::Simulator simulator_;
   net::Medium medium_;
-  transport::SimTransport transport_;
   transport::DeviceId device_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "net/medium.hpp"
 #include "peerhood/stack.hpp"
-#include "transport/sim_transport.hpp"
 
 #include <gtest/gtest.h>
 
@@ -82,16 +81,22 @@ TEST_F(StackTest, PoweringUnknownTechnologyIsNoop) {
 TEST_F(StackTest, PoweringMissingRadioReportsNotSupported) {
   // Two devices on one shared transport: the lookup is per device, so the
   // neighbour's GPRS radio does not satisfy this device's request.
-  transport::SimTransport transport(medium_);
-  Stack phone(transport, StackConfig{}.with_name("phone"));
-  Stack modem(transport, StackConfig{}.with_name("modem").with_radios(
-                             {net::bluetooth_2_0(), net::gprs()}));
+  Stack phone(medium_, StackConfig{}.with_name("phone"));
+  Stack modem(medium_, StackConfig{}.with_name("modem").with_radios(
+                           {net::bluetooth_2_0(), net::gprs()}));
   const Result<void> result =
       phone.set_radio_powered(net::Technology::gprs, false);
   ASSERT_FALSE(result);
   EXPECT_EQ(result.error().code, Errc::not_supported);
   EXPECT_TRUE(modem.set_radio_powered(net::Technology::gprs, false));
   EXPECT_FALSE(medium_.adapter(modem.id(), net::Technology::gprs)->powered());
+}
+
+TEST_F(StackTest, ShorthandStacksShareTheMediumAsTheirTransport) {
+  Stack a(medium_, nullptr, StackConfig{}.with_name("a"));
+  Stack b(medium_, nullptr, StackConfig{}.with_name("b"));
+  EXPECT_EQ(&a.transport(), &b.transport());
+  EXPECT_EQ(&a.transport(), static_cast<transport::Transport*>(&medium_));
 }
 
 TEST_F(StackTest, DaemonConfigPassedThrough) {

@@ -111,7 +111,9 @@ Bytes session_frame(std::uint8_t op, std::uint8_t trace,
       trace, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // trace context
       static_cast<std::uint8_t>(payload.size()), 0x00, 0x00, 0x00,
   };
-  out.insert(out.end(), payload.begin(), payload.end());
+  // push_back, not insert: GCC 12 reports a false -Warray-bounds on
+  // vector::insert here, and the tree builds with -Werror.
+  for (std::uint8_t byte : payload) out.push_back(byte);
   return out;
 }
 

@@ -10,7 +10,6 @@
 #include "peerhood/stack.hpp"
 #include "sim/mobility.hpp"
 #include "sim/simulator.hpp"
-#include "transport/sim_transport.hpp"
 
 namespace ph::testutil {
 
@@ -26,7 +25,6 @@ std::ostream& operator<<(std::ostream& out, const CrowdCounts& c) {
 CrowdCounts run_crowd(int devices, sim::Duration duration, std::uint64_t seed) {
   sim::Simulator simulator;
   net::Medium medium(simulator, sim::Rng(seed));
-  transport::SimTransport transport(medium);
   sim::Rng mobility(seed * 17 + 3);
   // Constant density: the 40-device baseline covers 60 x 60 m.
   const double field = 60.0 * std::sqrt(static_cast<double>(devices) / 40.0);
@@ -46,7 +44,7 @@ CrowdCounts run_crowd(int devices, sim::Duration duration, std::uint64_t seed) {
     walk.speed_max_mps = 2.0;
     Device device;
     device.stack = std::make_unique<peerhood::Stack>(
-        transport,
+        medium,
         peerhood::StackConfig{}
             .with_name("n" + std::to_string(i))
             .with_radios({net::bluetooth_2_0()}),

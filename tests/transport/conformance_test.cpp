@@ -1,7 +1,7 @@
 // Transport conformance suite.
 //
 // Every behaviour the PeerHood middleware relies on is asserted here
-// against BOTH backends — the simulated medium (SimTransport) and real
+// against BOTH backends — the simulated medium (net::Medium) and real
 // UNIX-domain sockets (SocketTransport) — via one parameterized fixture.
 // If a new backend appears, adding it to the instantiation list below is
 // the whole certification step.
@@ -28,7 +28,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "tests/testutil/flight_guard.hpp"
-#include "transport/sim_transport.hpp"
 #include "transport/socket_transport.hpp"
 
 namespace ph::transport {
@@ -64,8 +63,7 @@ struct World {
 struct SimWorld final : World {
   sim::Simulator simulator;
   net::Medium medium{simulator, sim::Rng(7)};
-  SimTransport sim_transport{medium};
-  Transport& transport() override { return sim_transport; }
+  Transport& transport() override { return medium; }
 };
 
 struct SocketWorld final : World {
@@ -121,7 +119,7 @@ class TransportConformance : public ::testing::TestWithParam<const char*> {
 TEST_P(TransportConformance, ReportsBackendIdentity) {
   const std::string name = transport_->name();
   EXPECT_TRUE(name == "sim" || name == "socket");
-  EXPECT_EQ(name == "sim", transport_->simulated());
+  EXPECT_EQ(name, GetParam());
 }
 
 TEST_P(TransportConformance, DatagramDelivery) {
