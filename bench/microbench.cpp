@@ -97,6 +97,30 @@ void BM_EventQueueCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancel);
 
+// Burst churn, the crowd's shape (256 devices finishing an inquiry round
+// in the same millisecond): each iteration is one simulated 1.024 ms
+// tick that pushes 800 keys into the tick's level-0 slot and drains them,
+// so successive bursts rotate through every slot of the wheel.
+void BM_EventQueueBurst(benchmark::State& state) {
+  constexpr int kBurst = 800;
+  constexpr sim::Duration kTick = 1'024;  // one level-0 slot
+  sim::TimerWheelQueue queue;
+  std::mt19937_64 rng(4242);
+  sim::Time tick_start = 0;
+  sim::QueueEntry out;
+  for (auto _ : state) {
+    for (int i = 0; i < kBurst; ++i) {
+      queue.push(tick_start + rng() % kTick, sim::EventFn([] {}));
+    }
+    while (queue.pop_next(tick_start + kTick - 1, out)) {
+      benchmark::DoNotOptimize(out.seq);
+    }
+    tick_start += kTick;
+  }
+  state.SetItemsProcessed(state.iterations() * kBurst);
+}
+BENCHMARK(BM_EventQueueBurst);
+
 // End-to-end dispatch through the Simulator: a thousand self-rescheduling
 // chains (the periodic-work shape chaos_soak runs at scale), measured as
 // executed events per wall second.
@@ -113,7 +137,7 @@ void BM_Dispatch(benchmark::State& state) {
   for (int i = 0; i < 1'000; ++i) {
     arm_bench_chain(simulator, 500 + rng() % 50'000);
   }
-  simulator.run_for(sim::seconds(1.0));  // warm slot vectors
+  simulator.run_for(sim::seconds(1.0));  // warm the slot block pool
   std::uint64_t executed = simulator.events_executed();
   for (auto _ : state) {
     simulator.run_for(sim::milliseconds(100));

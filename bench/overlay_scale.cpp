@@ -45,7 +45,10 @@
 // `--devices=none` the dump is the last sharded world's registry instead
 // (plus PH_SERIES_JSON / PH_TRACE_JSON when a sampler / trace is active),
 // which is what ph_chaos_determinism byte-compares across --threads.
-// PH_SAMPLE_MS sets the sharded worlds' series scrape interval.
+// PH_SAMPLE_MS sets the sharded worlds' series scrape interval. PH_PROF
+// (0 off, 1 Mode 1 dispatch counts, the default; 2 adds the wall plane)
+// attributes both sweeps' events to `prof.<center>` cost centers in the
+// dump: the real-stack sweep's crowd bursts can be read from it directly.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -100,8 +103,15 @@ double field_for(const Options& options, int devices) {
   return 60.0 * std::sqrt(static_cast<double>(devices) / 40.0);
 }
 
-Metrics run_crowd(const Options& options, int devices, obs::Registry& dump) {
+Metrics run_crowd(const Options& options, int devices, int prof_mode,
+                  obs::Registry& dump) {
+  // Declared before the simulator, which holds a pointer to it.
+  obs::prof::EventProfiler prof;
   sim::Simulator simulator;
+  if (prof_mode > 0) {
+    prof.enable_wall(prof_mode >= 2);
+    simulator.set_profiler(&prof);
+  }
   net::MediumConfig config;
   config.use_spatial_index = !options.brute;
   config.use_position_cache = !options.brute;
@@ -192,6 +202,10 @@ Metrics run_crowd(const Options& options, int devices, obs::Registry& dump) {
   // the shape the BENCH_*.json trajectory and ph_overlay_scale_smoke read.
   // Only deterministic values: the wall speed stays in the stdout table.
   dump.merge_from(medium.registry());
+  // Per-center dispatch counts (and, at PH_PROF=2, wall histograms), summed
+  // over the sweep's worlds like the world counters above.
+  if (prof_mode > 0) prof.publish_events(dump);
+  if (prof_mode >= 2) prof.publish_wall(dump);
   const std::string prefix = "bench.overlay.n" + std::to_string(devices) + ".";
   dump.gauge(prefix + "group_events_per_device_min")
       .set(metrics.group_events_per_device_min);
@@ -395,8 +409,24 @@ int main(int argc, char** argv) {
                             : std::to_string(options.field_m);
   report.env["path"] = options.brute ? "brute" : "indexed";
   report.env["shards"] = std::to_string(options.shards);
+  // PH_PROF: 0 = off, 1 (default) = deterministic Mode 1 attribution,
+  // 2 = Mode 1 + wall histograms + Mode 2 sampling profiler (workers
+  // register their span stacks; folded output via PH_PROF_FOLDED). Both
+  // sweeps publish `prof.<center>.*` into their dumps.
+  int prof_mode = 1;
+  if (const char* env = std::getenv("PH_PROF"); env != nullptr) {
+    prof_mode = std::atoi(env);
+  }
+  // Declared before last_world: the kept world's kernel workers unregister
+  // from the sampler at teardown, so the sampler must be destroyed last.
+  obs::prof::WallProfiler wall_sampler;
+  if (prof_mode >= 2) {
+    wall_sampler.register_thread("main");
+    wall_sampler.start();
+  }
+
   for (int n : options.devices) {
-    const Metrics m = run_crowd(options, n, dump);
+    const Metrics m = run_crowd(options, n, prof_mode, dump);
     std::printf("%8d %20.2f %16.0f %20.1f %14.0f %14llu %9.0f%% %8.1fx\n", n,
                 m.group_events_per_device_min, m.comparisons_per_device,
                 m.control_msgs_per_device_min, m.bytes_per_device_min,
@@ -419,20 +449,6 @@ int main(int argc, char** argv) {
   // Sharded-medium sweep: the kernel-parallel hot path at city scale.
   // Every (N, threads) run must be byte-identical to the same N at
   // --threads=1 — checked right here, every run, not just in ctest.
-  // PH_PROF: 0 = off, 1 (default) = deterministic Mode 1 attribution,
-  // 2 = Mode 1 + wall histograms + Mode 2 sampling profiler (workers
-  // register their span stacks; folded output via PH_PROF_FOLDED).
-  int prof_mode = 1;
-  if (const char* env = std::getenv("PH_PROF"); env != nullptr) {
-    prof_mode = std::atoi(env);
-  }
-  // Declared before last_world: the kept world's kernel workers unregister
-  // from the sampler at teardown, so the sampler must be destroyed last.
-  obs::prof::WallProfiler wall_sampler;
-  if (prof_mode >= 2) {
-    wall_sampler.register_thread("main");
-    wall_sampler.start();
-  }
   std::unique_ptr<net::ParallelWorld> last_world;
   if (!options.parallel_devices.empty()) {
     const sim::Duration window = sim::minutes(options.window_min);

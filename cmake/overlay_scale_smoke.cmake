@@ -9,7 +9,8 @@
 # proximity-machinery instruments: spatial queries actually routed through
 # the grid, pairs actually pruned, and a position cache that actually hit
 # (counter_nonzero catches the "subsystem present but never exercised"
-# regression a plain presence check would miss).
+# regression a plain presence check would miss), and the real-stack
+# sweep's default Mode 1 cost attribution (`prof.<center>.events`).
 
 foreach(var OVERLAY_SCALE JSON_CHECK WORK_DIR)
   if(NOT DEFINED ${var})
@@ -34,6 +35,8 @@ run_checked("ph_obs_json_check(overlay_scale)"
   counter_nonzero:net.medium.spatial.rebuilds
   counter_nonzero:net.medium.spatial.pairs_pruned
   counter_nonzero:net.medium.position_cache.hits
-  counter_nonzero:net.medium.signal_cache.hits)
+  counter_nonzero:net.medium.signal_cache.hits
+  counter_nonzero:prof.net.delivery.events
+  counter_nonzero:prof.peerhood.ping.events)
 
 message(STATUS "overlay scale smoke OK: ${overlay_json}")

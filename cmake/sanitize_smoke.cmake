@@ -1,13 +1,16 @@
-# Builds the sim/net/obs/util/proto/transport/peerhood/sns unit tests
-# under the `asan-ubsan` preset (build-asan/) and runs the gtest binaries
-# directly. This keeps the pooling layers honest in tier-1: Arena/BufferPool
-# poison recycled memory, so a use-after-free on a recycled block — the bug
-# class manual pooling normally hides — aborts here even though the plain
-# build cannot see it. proto_test's fuzz cases feed the decoders and the
-# stream reassembler mutated outside bytes, so an out-of-bounds read aborts
-# too. peerhood_test (sessions) and sns_test (the SNS server) hold channel
+# Builds the sim/net/obs/util/proto/transport/peerhood/sns/community/fault
+# unit tests under the `asan-ubsan` preset (build-asan/) and runs the gtest
+# binaries directly. This keeps the pooling layers honest in tier-1:
+# Arena/BufferPool poison recycled memory, so a use-after-free on a
+# recycled block — the bug class manual pooling normally hides — aborts
+# here even though the plain build cannot see it. proto_test's fuzz cases
+# feed the decoders and the stream reassembler mutated outside bytes, so
+# an out-of-bounds read aborts too. peerhood_test (sessions) and sns_test (the SNS server) hold channel
 # handles across breaks and closes, and every channel side aliases its
 # link's one shared state, so a handle outliving that state aborts here.
+# community_test (groups, persistence, the shell over whole stacks) and
+# fault_test (the fault model and plane) run the event queue's raw cell
+# and block storage under more workloads.
 # Invoked by the `ph_sanitize_smoke` CTest target
 # (tests/CMakeLists.txt) as:
 #
@@ -22,7 +25,8 @@ endif()
 
 set(BUILD_DIR ${SOURCE_DIR}/build-asan)
 set(SMOKE_TARGETS util_test sim_test sim_alloc_test net_test obs_test
-    parallel_test proto_test transport_test peerhood_test sns_test)
+    parallel_test proto_test transport_test peerhood_test sns_test
+    community_test fault_test)
 
 include(${CMAKE_CURRENT_LIST_DIR}/run_checked.cmake)
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <new>
 
+#include "util/arena.hpp"
 #include "util/check.hpp"
 
 namespace ph::sim {
@@ -13,21 +14,11 @@ namespace ph::sim {
 // --- TimerWheelQueue --------------------------------------------------------
 
 TimerWheelQueue::TimerWheelQueue() : slab_(new Slab) {
-  // Every slot starts with room for kSlotChunk keys, so a drifting
-  // periodic phase touching a fresh slot mid-run does not allocate and the
-  // steady state stays allocation-free. The room is one slab, not a
-  // reserve per slot, so building a Simulator costs a handful of
-  // allocations instead of one per slot: short runs that build many worlds
-  // (a Table-8 replication builds five) never touch most slots. Busier
-  // slots grow past their chunk once and keep their high-water capacity.
-  QueueKey* const keys = reinterpret_cast<QueueKey*>(slab_->keys);
-  slots_.reserve(kLevels * kSlots);
-  for (std::size_t i = 0; i < kLevels * kSlots; ++i) {
-    Slot& bucket = slots_.emplace_back(
-        SlotAllocator<QueueKey>(keys + i * kSlotChunk));
-    bucket.reserve(kSlotChunk);
-  }
+  // One slab, not a chunk per table, so building a Simulator costs a
+  // handful of allocations: short runs that build many worlds (a Table-8
+  // replication builds five) never outgrow it.
   cells_.push_back(reinterpret_cast<Cell*>(slab_->cells));
+  blocks_.push_back(reinterpret_cast<Block*>(slab_->blocks));
   due_.reserve(64);
   overflow_.reserve(64);
 }
@@ -36,12 +27,25 @@ TimerWheelQueue::~TimerWheelQueue() {
   // Closures still stored die in the order their keys are held: slot by
   // slot, then the overflow heap, then the due heap.
   for (const Slot& bucket : slots_) {
-    for (const QueueKey& key : bucket) cell(key.cell).fn.~EventFn();
+    const Block* block = bucket.first;
+    for (std::uint32_t left = bucket.count; left > 0;) {
+      const std::uint32_t n = std::min(left, kBlockKeys);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        cell(block->keys[i].cell).fn.~EventFn();
+      }
+      left -= n;
+      block = block->next;
+    }
   }
   for (const QueueKey& key : overflow_) cell(key.cell).fn.~EventFn();
   for (const QueueKey& key : due_) cell(key.cell).fn.~EventFn();
   for (std::size_t i = 1; i < cells_.size(); ++i) {
     std::allocator<Cell>{}.deallocate(cells_[i], kCellChunk);
+  }
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    // Pooled blocks are poisoned; the allocator gets its memory back clean.
+    PH_ASAN_UNPOISON(blocks_[i], kBlockChunk * sizeof(Block));
+    if (i > 0) std::allocator<Block>{}.deallocate(blocks_[i], kBlockChunk);
   }
 }
 
@@ -84,6 +88,104 @@ bool TimerWheelQueue::discard_if_dead(const QueueKey& key) noexcept {
   return true;
 }
 
+TimerWheelQueue::Block* TimerWheelQueue::take_block() {
+  if (Block* const block = free_block_) {
+    free_block_ = block->next;
+    block->next = nullptr;
+    PH_ASAN_UNPOISON(block->keys, sizeof(block->keys));
+    return block;
+  }
+  if (blocks_made_ == blocks_.size() * kBlockChunk) {
+    blocks_.push_back(std::allocator<Block>{}.allocate(kBlockChunk));
+  }
+  Block* const raw = blocks_[blocks_made_ / kBlockChunk] +
+                     blocks_made_ % kBlockChunk;
+  ++blocks_made_;
+  return ::new (static_cast<void*>(raw)) Block;
+}
+
+void TimerWheelQueue::free_blocks(Block* first, Block* last) noexcept {
+#if defined(PH_HAS_ASAN)
+  // Idle keys are poisoned, so a walk that strays past a slot's chain into
+  // a pooled block aborts under ASan instead of reading stale keys.
+  for (Block* block = first;; block = block->next) {
+    PH_ASAN_POISON(block->keys, sizeof(block->keys));
+    if (block == last) break;
+  }
+#endif
+  last->next = free_block_;
+  free_block_ = first;
+}
+
+void TimerWheelQueue::append(Slot& bucket, const QueueKey& key) {
+  const std::uint32_t at = bucket.count & (kBlockKeys - 1);
+  if (at == 0) {
+    Block* const block = take_block();
+    if (bucket.count == 0) {
+      bucket.first = block;
+    } else {
+      bucket.last->next = block;
+    }
+    bucket.last = block;
+  }
+  bucket.last->keys[at] = key;
+  ++bucket.count;
+}
+
+template <class Fn>
+void TimerWheelQueue::drain_slot(unsigned level, unsigned index, Fn fn) {
+  Slot& bucket = slot(level, index);
+  Block* block = bucket.first;
+  std::uint32_t left = bucket.count;
+  bucket = Slot{};
+  clear_bit(level, index);
+  while (left > 0) {
+    const std::uint32_t n = std::min(left, kBlockKeys);
+    for (std::uint32_t i = 0; i < n; ++i) fn(block->keys[i]);
+    left -= n;
+    Block* const next = block->next;
+    free_blocks(block, block);
+    block = next;
+  }
+}
+
+void TimerWheelQueue::compact_slot(unsigned level, unsigned index) noexcept {
+  Slot& bucket = slot(level, index);
+  // Survivors slide forward over the chain: the write position never
+  // passes the read position, so no key is read after being overwritten.
+  const Block* read = bucket.first;
+  Block* write = bucket.first;
+  std::uint32_t written = 0;  // keys in the write block
+  std::uint32_t kept = 0;
+  for (std::uint32_t left = bucket.count; left > 0;) {
+    const std::uint32_t n = std::min(left, kBlockKeys);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const QueueKey& key = read->keys[i];
+      if (discard_if_dead(key)) continue;
+      if (written == kBlockKeys) {
+        write = write->next;
+        written = 0;
+      }
+      write->keys[written++] = key;
+      ++kept;
+    }
+    left -= n;
+    read = read->next;
+  }
+  if (kept == 0) {
+    free_blocks(bucket.first, bucket.last);
+    bucket = Slot{};
+    clear_bit(level, index);
+    return;
+  }
+  if (write != bucket.last) {
+    free_blocks(write->next, bucket.last);
+    write->next = nullptr;
+    bucket.last = write;
+  }
+  bucket.count = kept;
+}
+
 void TimerWheelQueue::set_bit(unsigned level, unsigned index) noexcept {
   occupied_[level * kWordsPerLevel + index / 64] |= 1ull << (index % 64);
 }
@@ -124,7 +226,7 @@ void TimerWheelQueue::place(const QueueKey& key) {
       const unsigned index =
           static_cast<unsigned>(key.when >> level_shift(level)) &
           (kSlots - 1);
-      slot(level, index).push_back(key);
+      append(slot(level, index), key);
       set_bit(level, index);
       return;
     }
@@ -160,14 +262,11 @@ void TimerWheelQueue::drain_overflow() {
 }
 
 void TimerWheelQueue::cascade(unsigned level, unsigned index) {
-  Slot& bucket = slot(level, index);
-  // Walk the bucket while re-placing: place() only touches levels below
-  // this one (the keys now share the lower page with wheel_time_).
-  for (const QueueKey& key : bucket) {
+  // place() only appends to levels below this one (the keys now share the
+  // lower page with wheel_time_).
+  drain_slot(level, index, [this](const QueueKey& key) {
     if (!discard_if_dead(key)) place(key);
-  }
-  bucket.clear();
-  clear_bit(level, index);
+  });
 }
 
 void TimerWheelQueue::enter_windows() {
@@ -197,13 +296,11 @@ bool TimerWheelQueue::advance(Time until) {
             static_cast<unsigned>(found);
         const Time slot_start = slot_tick << kTickShift;
         if (slot_start > until) return false;
-        Slot& bucket = slot(0, static_cast<unsigned>(found));
         wheel_time_ = (slot_tick + 1) << kTickShift;
-        for (const QueueKey& key : bucket) {
-          if (!discard_if_dead(key)) push_due(key);
-        }
-        bucket.clear();
-        clear_bit(0, static_cast<unsigned>(found));
+        drain_slot(0, static_cast<unsigned>(found),
+                   [this](const QueueKey& key) {
+                     if (!discard_if_dead(key)) push_due(key);
+                   });
         // Processing slot 255 rolls wheel_time_ onto the next level-1
         // window: cascade what we just entered before anything can be
         // scheduled into (and fired from) level 0 ahead of it.
@@ -333,9 +430,7 @@ void TimerWheelQueue::compact() {
       const int found = next_occupied(level, index);
       if (found < 0) break;
       index = static_cast<unsigned>(found);
-      Slot& bucket = slot(level, index);
-      std::erase_if(bucket, is_dead);
-      if (bucket.empty()) clear_bit(level, index);
+      compact_slot(level, index);
     }
   }
   assert(dead_ == 0);

@@ -21,11 +21,24 @@
 // Slots, the due heap and the overflow heap hold 24-byte QueueKeys, not
 // events. Each key names a cell of a free-listed closure table the queue
 // owns; the EventFn (112 bytes) stays in its cell from push() until the
-// event fires, when pop_next() moves it out and frees the cell. Slot
-// growth, cascades and heap sifts therefore move keys only, and a slot's
-// retained high-water capacity costs 24 bytes per key. The table grows
-// in fixed chunks that never move, and no reference into it outlives a
-// pop_next() call, so events may schedule freely from inside a dispatch.
+// event fires, when pop_next() moves it out and frees the cell. Cascades
+// and heap sifts therefore move keys only. The table grows in fixed
+// chunks that never move, and no reference into it outlives a pop_next()
+// call, so events may schedule freely from inside a dispatch.
+//
+// A slot is a chain of fixed blocks of kBlockKeys keys, recorded as {first
+// block, last block, key count}. Appending fills the last block and takes
+// a fresh one from the queue's block pool when it is full; draining,
+// cascading or compacting a slot walks its chain in insertion order and
+// hands each emptied block back to the pool, never to malloc (under ASan a
+// pooled block's keys are poisoned until it is handed out again). The pool
+// grows in fixed chunks that never move, like the cell table. So no key
+// relocates once it is in a slot, and the blocks a queue retains follow
+// the most keys it ever stored at once plus at most one partly filled
+// block per occupied slot — not the sum of every slot's own worst burst.
+// A crowd world, whose 256 devices all finish an inquiry round in the
+// same millisecond, stores at most ~7,300 keys at once, while its slots'
+// own peaks add up to ~500,000.
 //
 // Events are ordered by (when, seq), where seq is the queue's own
 // insertion sequence, so equal timestamps fire FIFO — the determinism
@@ -42,22 +55,21 @@
 // mirroring the Medium's dead-link policy (dead >= 32 && 2*dead >=
 // stored).
 //
-// The constructor makes one slab allocation holding every slot's first
-// kSlotChunk keys and the table's first chunk of closure cells (3,072 ×
-// (24 + 128) B ≈ 467 KB). It is one allocation on purpose, and it stays
-// above glibc's 128 KB mmap threshold: freeing an mmapped block raises
-// glibc's dynamic mmap and trim thresholds, so back-to-back short worlds
-// (a Table-8 replication builds five) keep their heap pages between
-// worlds. Without it every world teardown trims the heap and the next
-// world faults the pages back in, which perfbench table8 pays for in
-// system CPU (EXPERIMENTS.md "Timer wheel: keys, not events").
+// The constructor makes one slab allocation holding the first chunk of
+// closure cells and the first chunk of key blocks (3,072 × 128 B + 64 ×
+// 776 B ≈ 443 KB). It is one allocation on purpose, and it stays above
+// glibc's 128 KB mmap threshold: freeing an mmapped block raises glibc's
+// dynamic mmap and trim thresholds, so back-to-back short worlds (a
+// Table-8 replication builds five) keep their heap pages between worlds.
+// Without it every world teardown trims the heap and the next world
+// faults the pages back in, which perfbench table8 pays for in system CPU
+// (EXPERIMENTS.md "Timer wheel: keys, not events").
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -108,6 +120,10 @@ class TimerWheelQueue {
   static constexpr unsigned kCellBits = 24;
   static_assert(64 - kCellBits >= 40,
                 "a handle's generation must not wrap within a run");
+  /// Keys a slot block holds.
+  static constexpr std::uint32_t kBlockKeys = 32;
+  /// Wheel slots (levels × slots per level).
+  static constexpr std::size_t kSlotCount = 3 * 256;
 
   TimerWheelQueue();
   ~TimerWheelQueue();
@@ -161,6 +177,15 @@ class TimerWheelQueue {
   Time drained_before() const noexcept { return wheel_time_; }
   /// Entries parked beyond the wheel's ~4.77 h horizon.
   std::size_t overflow_size() const noexcept { return overflow_.size(); }
+  /// Most keys stored at once since construction. Every stored key holds
+  /// a closure cell until it leaves the queue, so this is the cell
+  /// table's high water.
+  std::size_t peak_stored() const noexcept { return cells_made_; }
+  /// Keys the slot blocks handed out so far can hold: the wheel's retained
+  /// key storage. A chunk's blocks not yet handed out are never touched.
+  std::size_t block_key_capacity() const noexcept {
+    return blocks_made_ * kBlockKeys;
+  }
 
  private:
   // Base tick 2^10 us = 1.024 ms; each level fans out 256× — level spans
@@ -180,11 +205,13 @@ class TimerWheelQueue {
     return kTickShift + kSlotBits * (level + 1);
   }
 
-  /// Keys every slot has room for from construction on.
-  static constexpr std::size_t kSlotChunk = 4;
-  static constexpr std::size_t kSlabEntries = kLevels * kSlots * kSlotChunk;
+  static_assert(kLevels * kSlots == kSlotCount);
+  static_assert((kBlockKeys & (kBlockKeys - 1)) == 0,
+                "a slot's fill level within its last block is a mask");
   /// Closure cells per table chunk; the first chunk lives in the slab.
-  static constexpr std::size_t kCellChunk = kSlabEntries;
+  static constexpr std::size_t kCellChunk = 3072;
+  /// Key blocks per pool chunk; the first chunk lives in the slab.
+  static constexpr std::size_t kBlockChunk = 64;
   static constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
   static constexpr std::uint64_t kCellMask =
       (std::uint64_t{1} << kCellBits) - 1;
@@ -204,61 +231,28 @@ class TimerWheelQueue {
     std::uint64_t stamp;
   };
 
+  /// A run of keys of one slot, in insertion order, and the next block of
+  /// the slot's chain (or of the pool's free list). Blocks are placed in
+  /// raw chunk storage when first handed out.
+  struct Block {
+    Block* next = nullptr;
+    QueueKey keys[kBlockKeys];
+  };
+
+  /// One wheel slot: a chain of blocks, every one full but the last.
+  /// Empty slots hold no blocks.
+  struct Slot {
+    Block* first = nullptr;
+    Block* last = nullptr;
+    std::uint32_t count = 0;
+  };
+
   /// The one up-front allocation (see the file comment). Raw bytes: a
-  /// cell or key begins its life when it is first used.
+  /// cell or block begins its life when it is first used.
   struct Slab {
     alignas(Cell) std::byte cells[kCellChunk * sizeof(Cell)];
-    alignas(QueueKey) std::byte keys[kSlabEntries * sizeof(QueueKey)];
+    alignas(Block) std::byte blocks[kBlockChunk * sizeof(Block)];
   };
-
-  /// Allocator of one slot's vector. Each slot owns a fixed chunk of the
-  /// slab; the slot's first buffer (at most kSlotChunk keys) is that
-  /// chunk, and only growth past it reaches the heap. The chunk is handed
-  /// out once: after that every request,
-  /// from this allocator or from a copy taken since, goes to the heap, so a
-  /// shrink, swap or copy of a slot can never make two buffers share it.
-  /// Every copy, rebound ones included, remembers the chunk so it never
-  /// frees it and compares equal to the original.
-  template <class T>
-  class SlotAllocator {
-   public:
-    using value_type = T;
-    // The buffer travels with its allocator, so a moved or swapped slot
-    // still releases its chunk through an allocator that recognises it.
-    using propagate_on_container_move_assignment = std::true_type;
-    using propagate_on_container_swap = std::true_type;
-
-    explicit SlotAllocator(T* chunk) noexcept
-        : chunk_(chunk), unused_(chunk) {}
-    /// Rebinding has no chunk of the new type to hand out.
-    template <class U>
-    explicit SlotAllocator(const SlotAllocator<U>& other) noexcept
-        : chunk_(other.chunk_) {}
-
-    T* allocate(std::size_t n) {
-      if (unused_ != nullptr && n <= kSlotChunk) {
-        return std::exchange(unused_, nullptr);
-      }
-      return std::allocator<T>{}.allocate(n);
-    }
-    void deallocate(T* p, std::size_t n) noexcept {
-      if (p != chunk_) std::allocator<T>{}.deallocate(p, n);
-    }
-
-    friend bool operator==(const SlotAllocator& a,
-                           const SlotAllocator& b) noexcept {
-      return a.chunk_ == b.chunk_;
-    }
-
-   private:
-    template <class U>
-    friend class SlotAllocator;
-
-    const void* chunk_ = nullptr;  // this slot's chunk, handed out or not
-    T* unused_ = nullptr;          // the chunk while not yet handed out
-  };
-
-  using Slot = std::vector<QueueKey, SlotAllocator<QueueKey>>;
 
   Slot& slot(unsigned level, unsigned index) noexcept {
     return slots_[level * kSlots + index];
@@ -279,6 +273,22 @@ class TimerWheelQueue {
   /// Releases a cancelled key's cell and uncounts it; false (and nothing
   /// done) if the key is still live.
   bool discard_if_dead(const QueueKey& key) noexcept;
+
+  /// A block from the pool's free list, else a fresh one (growing the
+  /// pool by a chunk when none is left); its `next` is null.
+  Block* take_block();
+  /// Returns the chain first..last to the pool.
+  void free_blocks(Block* first, Block* last) noexcept;
+  /// Appends a key to a slot's last block.
+  void append(Slot& bucket, const QueueKey& key);
+  /// Empties a slot and clears its bit, then calls `fn` on each of its keys
+  /// in insertion order, returning each block to the pool once walked.
+  /// `fn` may append to other slots.
+  template <class Fn>
+  void drain_slot(unsigned level, unsigned index, Fn fn);
+  /// Drops the slot's cancelled keys, keeping the rest in order, and
+  /// returns the blocks left empty to the pool.
+  void compact_slot(unsigned level, unsigned index) noexcept;
 
   /// Files a key into due/slot/overflow based on wheel_time_.
   void place(const QueueKey& key);
@@ -309,14 +319,18 @@ class TimerWheelQueue {
   std::size_t stored_ = 0;
   std::vector<QueueKey> due_;       // (when, seq) min-heap
   std::vector<QueueKey> overflow_;  // (when, seq) min-heap, far future
-  /// Declared before slots_ and cells_, which point into it, so it is
-  /// freed after them.
+  /// Declared before the cell and block tables, which point into it, so
+  /// it is freed after them.
   std::unique_ptr<Slab> slab_;
-  std::vector<Slot> slots_;  // kLevels × kSlots
+  std::array<Slot, kSlotCount> slots_{};
   /// Chunks of kCellChunk cells; cells_[0] is the slab's.
   std::vector<Cell*> cells_;
   std::uint32_t cells_made_ = 0;  // cells ever handed out (high-water)
   std::uint32_t free_cell_ = kNoCell;
+  /// Chunks of kBlockChunk blocks; blocks_[0] is the slab's.
+  std::vector<Block*> blocks_;
+  std::size_t blocks_made_ = 0;  // blocks ever handed out (high-water)
+  Block* free_block_ = nullptr;
   std::array<std::uint64_t, kLevels * kWordsPerLevel> occupied_{};
 };
 

@@ -113,6 +113,8 @@ class Simulator {
   std::size_t cancelled_pending() const noexcept { return queue_.dead(); }
   /// Entries held by the queue (live + not-yet-collected cancelled).
   std::size_t stored_pending() const noexcept { return queue_.stored(); }
+  /// The event queue, read-only: its storage figures for tests and benches.
+  const TimerWheelQueue& queue() const noexcept { return queue_; }
 
   /// Total events executed since construction (telemetry for benches).
   std::uint64_t events_executed() const noexcept { return executed_; }

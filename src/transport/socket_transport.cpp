@@ -3,6 +3,7 @@
 #include <dirent.h>
 #include <errno.h>
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -68,6 +69,100 @@ std::string endpoint_path(const std::string& dir, DeviceId device,
                           net::Technology tech, const char* plane) {
   return dir + "/d" + std::to_string(device) + ".t" +
          std::to_string(static_cast<int>(tech)) + "." + plane;
+}
+
+constexpr char kSocketDirParent[] = "/tmp";
+constexpr char kSocketDirPrefix[] = "ph_socket_";
+/// The file in an owned rendezvous directory that names its process.
+constexpr char kPidFile[] = "pid";
+
+/// Records this process's pid in its fresh rendezvous directory. It is
+/// written under a temporary name and renamed into place, so a sweep never
+/// reads a partial pid. Best effort: a directory without a pid file is
+/// never swept.
+void write_pid_file(const std::string& dir) {
+  const std::string tmp = dir + "/" + kPidFile + ".tmp";
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0600);
+  if (fd < 0) return;
+  const std::string pid = std::to_string(::getpid());
+  const bool written = ::write(fd, pid.data(), pid.size()) ==
+                       static_cast<ssize_t>(pid.size());
+  ::close(fd);
+  if (!written ||
+      ::rename(tmp.c_str(), (dir + "/" + kPidFile).c_str()) != 0) {
+    ::unlink(tmp.c_str());
+  }
+}
+
+/// The pid recorded in the rendezvous directory `dir_fd`; 0 when it has no
+/// well-formed pid file.
+pid_t recorded_pid(int dir_fd) {
+  const int fd = ::openat(dir_fd, kPidFile, O_RDONLY | O_NOFOLLOW | O_CLOEXEC);
+  if (fd < 0) return 0;
+  char digits[16];
+  const ssize_t n = ::read(fd, digits, sizeof(digits));
+  ::close(fd);
+  if (n <= 0 || n > 9) return 0;
+  pid_t pid = 0;
+  for (ssize_t i = 0; i < n; ++i) {
+    if (digits[i] < '0' || digits[i] > '9') return 0;
+    pid = pid * 10 + (digits[i] - '0');
+  }
+  return pid;
+}
+
+/// Empties and removes the rendezvous directory `name` under `parent_fd`.
+/// The pid file goes last, so a sweep cut short leaves a directory the
+/// next sweep still recognises.
+void remove_socket_dir(int parent_fd, const char* name, int dir_fd) {
+  const int list_fd = ::dup(dir_fd);
+  if (list_fd < 0) return;
+  DIR* dir = ::fdopendir(list_fd);
+  if (dir == nullptr) {
+    ::close(list_fd);
+    return;
+  }
+  while (dirent* entry = ::readdir(dir)) {
+    const std::string file = entry->d_name;
+    if (file == "." || file == ".." || file == kPidFile) continue;
+    ::unlinkat(dir_fd, file.c_str(), 0);
+  }
+  ::closedir(dir);
+  ::unlinkat(dir_fd, kPidFile, 0);
+  ::unlinkat(parent_fd, name, AT_REMOVEDIR);
+}
+
+/// Removes the rendezvous directories this user's killed runs left behind:
+/// a /tmp/ph_socket_* directory owned by this uid whose recorded pid is
+/// gone (kill(pid, 0) fails with ESRCH). A directory with no pid file, a
+/// live process (or one kill(2) may not signal) or another owner is left
+/// alone. Pids are looked up in this process's pid namespace, so
+/// processes that share /tmp across pid namespaces should each set
+/// socket_dir.
+void sweep_dead_socket_dirs() {
+  DIR* parent = ::opendir(kSocketDirParent);
+  if (parent == nullptr) return;
+  const uid_t uid = ::geteuid();
+  while (dirent* entry = ::readdir(parent)) {
+    if (std::strncmp(entry->d_name, kSocketDirPrefix,
+                     sizeof(kSocketDirPrefix) - 1) != 0) {
+      continue;
+    }
+    const int dir_fd =
+        ::openat(::dirfd(parent), entry->d_name,
+                 O_RDONLY | O_DIRECTORY | O_NOFOLLOW | O_CLOEXEC);
+    if (dir_fd < 0) continue;
+    struct stat st {};
+    const pid_t pid =
+        ::fstat(dir_fd, &st) == 0 && st.st_uid == uid ? recorded_pid(dir_fd)
+                                                       : 0;
+    if (pid > 0 && ::kill(pid, 0) != 0 && errno == ESRCH) {
+      remove_socket_dir(::dirfd(parent), entry->d_name, dir_fd);
+    }
+    ::close(dir_fd);
+  }
+  ::closedir(parent);
 }
 
 /// Parses "d<id>.t<tech>.dgram" back into a device id; 0 when `name` is
@@ -969,10 +1064,13 @@ SocketTransport::SocketTransport(SocketTransportConfig config)
                        ? 1
                        : config_.first_device_id) {
   if (config_.socket_dir.empty()) {
-    char tmpl[] = "/tmp/ph_socket_XXXXXX";
-    PH_CHECK_MSG(::mkdtemp(tmpl) != nullptr, "mkdtemp() failed");
-    dir_ = tmpl;
+    sweep_dead_socket_dirs();
+    std::string tmpl =
+        std::string(kSocketDirParent) + "/" + kSocketDirPrefix + "XXXXXX";
+    PH_CHECK_MSG(::mkdtemp(tmpl.data()) != nullptr, "mkdtemp() failed");
+    dir_ = std::move(tmpl);
     owns_dir_ = true;
+    write_pid_file(dir_);
   } else {
     dir_ = config_.socket_dir;
     ::mkdir(dir_.c_str(), 0700);  // EEXIST is fine — shared directories
@@ -1014,7 +1112,10 @@ SocketTransport::~SocketTransport() {
   endpoints_.clear();  // unlinks sockets, closes fds, silently drops channels
   ops_.reset();        // closes + unlinks the ops socket before any rmdir
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (owns_dir_) ::rmdir(dir_.c_str());  // best-effort; fails if shared
+  if (owns_dir_) {
+    ::unlink((dir_ + "/" + kPidFile).c_str());
+    ::rmdir(dir_.c_str());  // best-effort; fails if shared
+  }
 }
 
 Scheduler& SocketTransport::scheduler() { return *scheduler_; }

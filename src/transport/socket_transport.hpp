@@ -47,8 +47,12 @@ namespace ph::transport {
 
 struct SocketTransportConfig {
   /// Rendezvous directory holding every endpoint's sockets. Empty = create
-  /// (and on destruction remove) a fresh mkdtemp directory; set it
-  /// explicitly to share one directory across processes.
+  /// (and on destruction remove) a fresh mkdtemp directory under /tmp that
+  /// records the creating pid; set it explicitly to share one directory
+  /// across processes. Creating one first removes the /tmp/ph_socket_*
+  /// directories of this user whose recorded process is gone, so a run
+  /// killed before its destructor (SIGKILL, a timeout) leaves no debris
+  /// past the next run.
   std::string socket_dir;
   /// Virtual microseconds that elapse per wall-clock microsecond. 1.0 =
   /// real time; 50.0 runs the daemon's 2 s ping cadence every 40 ms of

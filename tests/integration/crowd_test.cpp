@@ -6,6 +6,7 @@
 // on the wire or when shows up here.
 #include <gtest/gtest.h>
 
+#include "sim/event_queue.hpp"
 #include "tests/testutil/crowd.hpp"
 
 namespace ph::testutil {
@@ -26,6 +27,22 @@ TEST(CrowdGate, ReducedCrowdReproducesCapturedCounts) {
 TEST(CrowdGate, SameSeedSameCounts) {
   EXPECT_EQ(run_crowd(24, sim::seconds(45), 7),
             run_crowd(24, sim::seconds(45), 7));
+}
+
+TEST(CrowdQueue, RetainedKeyStorageFollowsPeakStoredKeys) {
+  // The full crowd's burst shape: 256 devices finish each inquiry round
+  // in the same millisecond and fill a few wheel slots with hundreds of
+  // keys each. Drained slots hand their blocks back to the queue's pool,
+  // so the key storage retained after the run is bounded by the most keys
+  // ever stored at once plus one partly filled block per slot, not by the
+  // sum of every slot's worst burst.
+  CrowdQueueStorage storage;
+  run_crowd(256, sim::seconds(75), 1, &storage);
+  ASSERT_GT(storage.peak_stored, 0u);
+  EXPECT_LE(storage.block_key_capacity,
+            storage.peak_stored + sim::TimerWheelQueue::kSlotCount *
+                                      sim::TimerWheelQueue::kBlockKeys)
+      << "peak stored " << storage.peak_stored;
 }
 
 }  // namespace

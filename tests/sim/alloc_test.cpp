@@ -6,9 +6,10 @@
 // periodic tasks — and asserts the allocation counter does not move.
 // This is the property the whole event-kernel design (timer wheel + SBO
 // EventFn + free-listed closure cells whose stamps carry liveness +
-// slot-vector reuse) exists to provide; a regression in any of those
-// layers (a closure growing past the inline buffer, a vector losing its
-// capacity, a cell table regrowing per op) fails this test.
+// slot blocks recycled through the queue's pool) exists to provide; a
+// regression in any of those layers (a closure growing past the inline
+// buffer, a drained slot's blocks not going back to the pool, a cell
+// table regrowing per op) fails this test.
 //
 // Lives in its own binary: the interposer is process-global and must not
 // contaminate unrelated tests.
@@ -159,6 +160,39 @@ TEST(SimulatorAllocation, ConstructionIsCheap) {
   const std::size_t allocations = g_new_calls - allocations_before;
   EXPECT_LE(allocations, 8u) << "constructing and destroying a Simulator made "
                              << allocations << " heap allocations";
+}
+
+TEST(TimerWheelQueue, BurstStorageIsReusedAcrossSlots) {
+  // The crowd's shape: a burst of keys lands in one 1 ms slot, drains,
+  // and the next burst lands in another slot. Emptied slot storage goes
+  // back to the queue's own pool, so once one burst has been held and
+  // drained, a burst of the same size in a different slot allocates
+  // nothing: not for the slot, the closure cells or the due heap.
+  constexpr int kBurst = 2'000;
+  TimerWheelQueue queue;
+  std::uint64_t fired = 0;
+  QueueEntry entry;
+  const auto burst = [&](Time when) {
+    for (int i = 0; i < kBurst; ++i) {
+      queue.push(when, [&fired] { ++fired; });
+    }
+    while (queue.pop_next(when, entry)) entry.fn();
+  };
+
+  burst(5'000);  // level-0 slot 4
+  ASSERT_EQ(fired, static_cast<std::uint64_t>(kBurst));
+  const std::size_t capacity = queue.block_key_capacity();
+
+  const std::size_t allocations_before = g_new_calls;
+  burst(200'000);  // level-0 slot 195
+  const std::size_t allocations_after = g_new_calls;
+
+  ASSERT_EQ(fired, 2u * kBurst);
+  EXPECT_EQ(allocations_after, allocations_before)
+      << "a second burst in a fresh slot made "
+      << (allocations_after - allocations_before) << " heap allocations";
+  EXPECT_EQ(queue.block_key_capacity(), capacity)
+      << "the second burst did not reuse the first burst's blocks";
 }
 
 TEST(SimulatorAllocation, ProfAttributionHotPathAllocatesNothing) {

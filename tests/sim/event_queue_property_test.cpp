@@ -346,6 +346,70 @@ TEST(EventQueue, CancelledEntriesCompactOnceTheyDominate) {
   EXPECT_EQ(fired, 40u);
 }
 
+TEST(TimerWheelQueue, CompactionKeepsEachSlotsBlockChainInOrder) {
+  // Three slots several blocks long: a level-0 slot that loses every third
+  // key of its first 147, a level-1 slot that loses a run longer than a
+  // block from its middle, and a level-0 slot that loses every key. That
+  // is 49 + 35 + 167 = 251 of the 501 keys, so compaction (2 * dead >=
+  // stored) fires on the last cancel. It slides the survivors forward
+  // within each chain and frees the blocks left over; keys appended
+  // afterwards land behind the survivors, so the pops must still come out
+  // in (when, seq) order with exactly the survivors.
+  constexpr std::size_t kPerSlot = 5 * TimerWheelQueue::kBlockKeys + 7;
+  TimerWheelQueue wheel;
+  std::vector<Time> when;  // by seq - 1
+  std::vector<EventId> ids;
+  const auto push = [&](Time at) {
+    ids.push_back(wheel.push(at, EventFn([] {})));
+    when.push_back(at);
+  };
+  for (std::size_t i = 0; i < kPerSlot; ++i) push(3'000 + i % 5);
+  for (std::size_t i = 0; i < kPerSlot; ++i) push(600'000 + i);
+  for (std::size_t i = 0; i < kPerSlot; ++i) push(9'000);
+  std::vector<bool> survives(ids.size(), true);
+  for (std::size_t i = 0; i < kPerSlot; ++i) {
+    survives[i] = !(i % 3 == 1 && i < 147);
+    survives[kPerSlot + i] = i < 40 || i >= 75;
+    survives[2 * kPerSlot + i] = false;
+  }
+  std::size_t expected = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (survives[i]) {
+      ++expected;
+    } else {
+      ASSERT_TRUE(wheel.cancel(ids[i]));
+    }
+  }
+  ASSERT_EQ(wheel.dead(), 0u) << "compaction should have run";
+  ASSERT_EQ(wheel.stored(), expected);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(wheel.pending(ids[i]), survives[i]) << "key " << i;
+  }
+  for (std::size_t i = 0; i < 2 * TimerWheelQueue::kBlockKeys; ++i) {
+    push(3'004);
+    push(600'000 + kPerSlot + i);
+    survives.insert(survives.end(), 2, true);
+    expected += 2;
+  }
+
+  QueueEntry out;
+  Time last_when = 0;
+  std::uint64_t last_seq = 0;
+  std::size_t popped = 0;
+  while (wheel.pop_next(Time{10'000'000}, out)) {
+    ASSERT_TRUE(out.when > last_when ||
+                (out.when == last_when && out.seq > last_seq))
+        << "pop " << popped << " out of (when, seq) order";
+    ASSERT_TRUE(survives[out.seq - 1]) << "cancelled seq " << out.seq;
+    EXPECT_EQ(out.when, when[out.seq - 1]);
+    last_when = out.when;
+    last_seq = out.seq;
+    ++popped;
+  }
+  EXPECT_EQ(popped, expected);
+  EXPECT_EQ(wheel.stored(), 0u);
+}
+
 // The wheel's slots and heaps carry keys; the closures stay in the
 // queue's cell table. A key that grew past this would bring back the
 // 144-byte moves the keys exist to avoid.

@@ -22,7 +22,8 @@ std::ostream& operator<<(std::ostream& out, const CrowdCounts& c) {
              << " group_events=" << c.group_events << "}";
 }
 
-CrowdCounts run_crowd(int devices, sim::Duration duration, std::uint64_t seed) {
+CrowdCounts run_crowd(int devices, sim::Duration duration, std::uint64_t seed,
+                      CrowdQueueStorage* storage) {
   sim::Simulator simulator;
   net::Medium medium(simulator, sim::Rng(seed));
   sim::Rng mobility(seed * 17 + 3);
@@ -66,6 +67,10 @@ CrowdCounts run_crowd(int devices, sim::Duration duration, std::uint64_t seed) {
     simulator.run_for(sim::seconds(1));
   }
 
+  if (storage != nullptr) {
+    storage->peak_stored = simulator.queue().peak_stored();
+    storage->block_key_capacity = simulator.queue().block_key_capacity();
+  }
   CrowdCounts counts;
   counts.events = simulator.events_executed();
   const obs::Snapshot net = medium.stats();

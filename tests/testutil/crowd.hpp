@@ -5,6 +5,7 @@
 // tests that need its behaviour at a size that runs in tier-1.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 
@@ -27,8 +28,15 @@ struct CrowdCounts {
 
 std::ostream& operator<<(std::ostream& out, const CrowdCounts& counts);
 
+/// The key storage of a crowd's event queue at the end of its run.
+struct CrowdQueueStorage {
+  std::size_t peak_stored = 0;         ///< TimerWheelQueue::peak_stored
+  std::size_t block_key_capacity = 0;  ///< TimerWheelQueue::block_key_capacity
+};
+
 /// Builds a `devices`-strong crowd from `seed` and simulates `duration` of
-/// virtual time in one-second steps.
-CrowdCounts run_crowd(int devices, sim::Duration duration, std::uint64_t seed);
+/// virtual time in one-second steps. Fills `storage` when given.
+CrowdCounts run_crowd(int devices, sim::Duration duration, std::uint64_t seed,
+                      CrowdQueueStorage* storage = nullptr);
 
 }  // namespace ph::testutil

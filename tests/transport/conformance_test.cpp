@@ -6,8 +6,11 @@
 // If a new backend appears, adding it to the instantiation list below is
 // the whole certification step.
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -955,6 +958,67 @@ TEST(SocketLoop, RunUntilReturnsWhileATimerStaysDue) {
   s.run_until(s.now() + sim::milliseconds(100));
   EXPECT_GT(ticks, 0);
   EXPECT_EQ(received, 1) << "the sockets were starved";
+}
+
+// Socket-only: a run killed before its destructor (SIGKILL, a ctest
+// timeout) cannot remove its rendezvous directory, so the next transport
+// that makes one removes it: the dead run's directory records its pid.
+TEST(SocketDebris, KilledRunsDirectoryIsRemovedByTheNextTransport) {
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // A two-stack world with both daemons bound and discovering, then a
+    // death that runs no destructor.
+    ::close(pipe_fds[0]);
+    SocketTransport transport{[] {
+      SocketTransportConfig config;
+      config.time_scale = 500.0;
+      config.seed = 7;
+      return config;
+    }()};
+    peerhood::Stack alpha(peerhood::StackConfig{}
+                              .with_name("alpha")
+                              .with_radios({quick_bt()})
+                              .with_transport(transport));
+    peerhood::Stack beta(peerhood::StackConfig{}
+                             .with_name("beta")
+                             .with_radios({quick_bt()})
+                             .with_transport(transport));
+    Scheduler& s = transport.scheduler();
+    s.run_until(s.now() + sim::seconds(1));
+    const std::string& dir = transport.socket_dir();
+    if (::write(pipe_fds[1], dir.data(), dir.size()) !=
+        static_cast<ssize_t>(dir.size())) {
+      ::_exit(1);
+    }
+    ::close(pipe_fds[1]);
+    ::kill(::getpid(), SIGKILL);
+    ::_exit(1);
+  }
+  ::close(pipe_fds[1]);
+  std::string dir;
+  char buf[256];
+  for (ssize_t n; (n = ::read(pipe_fds[0], buf, sizeof(buf))) > 0;) {
+    dir.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(pipe_fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "the child did not die by SIGKILL (status " << status << ")";
+  ASSERT_FALSE(dir.empty());
+  struct stat st {};
+  ASSERT_EQ(::stat(dir.c_str(), &st), 0)
+      << dir << ": the killed run should have left its directory behind";
+  ASSERT_EQ(::stat((dir + "/pid").c_str(), &st), 0) << "no pid file in " << dir;
+
+  SocketTransport next{SocketTransportConfig{}};
+  EXPECT_NE(next.socket_dir(), dir);
+  EXPECT_NE(::stat(dir.c_str(), &st), 0)
+      << dir << " survived the next transport's construction";
+  EXPECT_EQ(::stat(next.socket_dir().c_str(), &st), 0);
 }
 
 }  // namespace
