@@ -4,6 +4,8 @@
 # runs (worker pool, cross-shard mailboxes, barrier hooks), so any missing
 # happens-before edge in ShardedKernel or ParallelWorld surfaces here as a
 # hard failure even though the plain build passes by luck of scheduling.
+# obs_test adds the profiler's cross-thread sampling: WallProfiler's
+# sampler thread reads a working thread's span stack while it changes.
 # Mirrors cmake/sanitize_smoke.cmake; invoked by the `ph_tsan_smoke` CTest
 # target (tests/CMakeLists.txt) as:
 #
@@ -17,7 +19,7 @@ if(NOT DEFINED SOURCE_DIR)
 endif()
 
 set(BUILD_DIR ${SOURCE_DIR}/build-tsan)
-set(SMOKE_TARGETS parallel_test)
+set(SMOKE_TARGETS parallel_test obs_test)
 
 include(${CMAKE_CURRENT_LIST_DIR}/run_checked.cmake)
 

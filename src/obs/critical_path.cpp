@@ -8,8 +8,8 @@ namespace ph::obs {
 
 namespace {
 
-bool contains(const std::string& haystack, const char* needle) {
-  return haystack.find(needle) != std::string::npos;
+bool contains(std::string_view haystack, const char* needle) {
+  return haystack.find(needle) != std::string_view::npos;
 }
 
 /// Higher wins when phase spans overlap; processing never competes (it
@@ -95,7 +95,7 @@ const char* to_string(Phase phase) {
 }
 
 std::optional<Phase> classify(const Span& span) {
-  const std::string& name = span.name;
+  const std::string_view name = span.name;
   if (contains(name, "queue")) return Phase::queueing;
   if (contains(name, "backoff")) return Phase::backoff;
   if (name == "net.datagram" || name == "net.link.send") {

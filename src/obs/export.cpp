@@ -39,7 +39,7 @@ void append_series_object(std::string& out, const Sampler& sampler) {
     out += "\"points\":[";
     for (std::size_t i = 0; i < series.size(); ++i) {
       if (i > 0) out += ',';
-      const SeriesPoint& point = series.at(i);
+      const SeriesPoint point = series.at(i);
       out += '[';
       append_number(out, static_cast<double>(point.at));
       out += ',';
@@ -451,7 +451,7 @@ std::string to_chrome_trace(
     for (const auto& [name, series] : sampler->series()) {
       const std::uint64_t device = device_from_metric_name(name);
       for (std::size_t i = 0; i < series.size(); ++i) {
-        const SeriesPoint& point = series.at(i);
+        const SeriesPoint point = series.at(i);
         begin_event();
         out += "\"ph\":\"C\",\"name\":";
         append_string(out, name);

@@ -159,6 +159,7 @@ Counter& Registry::counter(const std::string& name) {
   if (it == counters_.end()) {
     check_kind(name, "counter");
     it = counters_.emplace(name, std::make_unique<Counter>()).first;
+    ++generation_;
   }
   return *it->second;
 }
@@ -168,6 +169,7 @@ Gauge& Registry::gauge(const std::string& name) {
   if (it == gauges_.end()) {
     check_kind(name, "gauge");
     it = gauges_.emplace(name, std::make_unique<Gauge>()).first;
+    ++generation_;
   }
   return *it->second;
 }
@@ -178,6 +180,7 @@ Histogram& Registry::histogram(const std::string& name,
   if (it == histograms_.end()) {
     check_kind(name, "histogram");
     it = histograms_.emplace(name, std::make_unique<Histogram>(bounds)).first;
+    ++generation_;
   }
   return *it->second;
 }

@@ -171,7 +171,10 @@ class Snapshot {
 /// gauge() / histogram() are stable for the registry's lifetime; asking
 /// for an existing name returns the same instrument (so independent code
 /// paths may share a metric). Registering one name as two different kinds
-/// is a programming error and aborts (PH_CHECK).
+/// is a programming error and aborts (PH_CHECK). Instruments are never
+/// removed, and generation() counts every creation, so a reader that
+/// bound handles at one generation knows its binding is complete for as
+/// long as the generation stays the same.
 class Registry {
  public:
   Registry() = default;
@@ -201,6 +204,10 @@ class Registry {
   /// worlds and want one combined snapshot.
   void merge_from(const Registry& other);
 
+  /// Instruments created so far, of all kinds; looking up an existing
+  /// name does not change it.
+  std::uint64_t generation() const noexcept { return generation_; }
+
   const std::map<std::string, std::unique_ptr<Counter>>& counters() const {
     return counters_;
   }
@@ -218,6 +225,7 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace ph::obs

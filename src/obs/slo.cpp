@@ -53,8 +53,12 @@ void SloEngine::evaluate(TimePoint now) {
   for (std::size_t r = 0; r < rules_.size(); ++r) {
     const SloRule& rule = rules_[r];
     RuleState& state = states_[r];
-    const TimeSeries* series = sampler_.find(rule.series);
-    if (series == nullptr || series->empty()) continue;  // not born yet
+    if (state.series == nullptr) {
+      state.series = sampler_.find(rule.series);  // stable once born
+      if (state.series == nullptr) continue;      // not born yet
+    }
+    const TimeSeries* series = state.series;
+    if (series->empty()) continue;
 
     // Fold the in-window points, newest last. Rings are time-ordered, so
     // walk backwards and stop at the window edge.
@@ -62,7 +66,7 @@ void SloEngine::evaluate(TimePoint now) {
     double folded = 0.0;
     std::size_t points = 0;
     for (std::size_t i = series->size(); i-- > 0;) {
-      const SeriesPoint& point = series->at(i);
+      const SeriesPoint point = series->at(i);
       if (point.at < cutoff) break;
       if (points == 0) {
         folded = point.value;

@@ -107,6 +107,8 @@ class SloEngine {
 
  private:
   struct RuleState {
+    /// The rule's series, bound on the first evaluation after it exists.
+    const TimeSeries* series = nullptr;
     Counter* breaches = nullptr;
     Gauge* breached = nullptr;
     bool unhealthy = false;

@@ -30,12 +30,19 @@
 // eviction — find_span()/end_span() on an evicted id are safe no-ops —
 // so a ring trace can stay on for a whole soak and be dumped when a
 // fault fires (see obs::dump_flight_recording).
+//
+// Text: a record holds its name and kind as views into the trace's text
+// store, which keeps each distinct text once for the life of the Trace.
+// Callers may pass views of buffers they overwrite right after the call;
+// the views in records stay valid across eviction and clear().
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
+
+#include "util/arena.hpp"
 
 namespace ph::obs {
 
@@ -48,11 +55,13 @@ using SpanId = std::uint64_t;
 /// Virtual-time stamp (sim::Time — microseconds since simulation start).
 using TimePoint = std::uint64_t;
 
+/// Span and TraceEvent texts are views into their Trace's text store,
+/// valid for the life of the Trace (across ring eviction and clear()).
 struct Span {
   SpanId id = 0;
   SpanId parent = 0;      ///< 0 = root
-  std::string name;       ///< e.g. "community.rpc", "net.link.send"
-  std::string kind;       ///< message kind: "datagram", "link", "inquiry", opcode…
+  std::string_view name;  ///< e.g. "community.rpc", "net.link.send"
+  std::string_view kind;  ///< message kind: "datagram", "link", "inquiry", opcode…
   std::uint64_t device = 0;  ///< NodeId/DeviceId of the actor; 0 = none
   TimePoint start = 0;
   TimePoint end = 0;      ///< meaningful only when closed
@@ -61,8 +70,8 @@ struct Span {
 
 struct TraceEvent {
   SpanId span = 0;        ///< innermost open context at record time
-  std::string name;
-  std::string kind;
+  std::string_view name;
+  std::string_view kind;
   std::uint64_t device = 0;
   TimePoint at = 0;
 };
@@ -87,9 +96,9 @@ class Trace {
   }
 
   /// Starts a span parented under the current context. Returns 0 when
-  /// tracing is disabled or the journal is full. Takes views: the text is
-  /// copied into a recycled string (no allocation in steady-state ring
-  /// mode once the journal is warm).
+  /// tracing is disabled or the journal is full. Takes views: the trace
+  /// keeps one copy of each distinct text, so a record holds two views
+  /// and recording a text seen before allocates nothing.
   SpanId begin_span(std::string_view name, TimePoint now,
                     std::uint64_t device = 0, std::string_view kind = {});
 
@@ -136,8 +145,14 @@ class Trace {
 
   /// Retained spans, oldest first. In ring mode this is a suffix of the
   /// full journal; Span::id remains globally monotonic.
-  const std::vector<Span>& spans() const noexcept { return spans_; }
-  const std::vector<TraceEvent>& events() const noexcept { return events_; }
+  const std::vector<Span, util::MappedAllocator<Span>>& spans()
+      const noexcept {
+    return spans_;
+  }
+  const std::vector<TraceEvent, util::MappedAllocator<TraceEvent>>& events()
+      const noexcept {
+    return events_;
+  }
   /// O(1). nullptr for 0, unknown, or evicted ids.
   const Span* find_span(SpanId id) const;
 
@@ -169,13 +184,14 @@ class Trace {
     dropped_counter_ = counter;
   }
 
+  /// Forgets every record and the context stack. The text store stays,
+  /// so views taken from earlier records remain valid.
   void clear();
 
  private:
   void evict_if_ring();
-  /// Copies `text` into a string recycled from evicted records (ring
-  /// mode), reusing its heap capacity; allocates only on a cold pool.
-  std::string take_string(std::string_view text);
+  /// The stored copy of `text`, made on its first appearance.
+  std::string_view intern(std::string_view text);
 
   bool enabled_ = false;
   const char* clock_domain_ = "virtual";
@@ -187,11 +203,15 @@ class Trace {
   /// span_base_ + i + 1.
   std::uint64_t span_base_ = 0;
   Counter* dropped_counter_ = nullptr;
-  std::vector<Span> spans_;
-  std::vector<TraceEvent> events_;
+  /// Mapped storage: a ring's reservation is megabytes, and handing it
+  /// back to malloc would move later worlds into the brk heap.
+  std::vector<Span, util::MappedAllocator<Span>> spans_;
+  std::vector<TraceEvent, util::MappedAllocator<TraceEvent>> events_;
   std::vector<SpanId> context_;
-  /// Strings harvested from evicted ring records, ready for reuse.
-  std::vector<std::string> string_pool_;
+  /// Each distinct name/kind text once, for the life of the Trace:
+  /// the bytes in `text_`, the index over them in `interned_`.
+  util::Arena text_{4096};
+  std::unordered_set<std::string_view> interned_;
 };
 
 }  // namespace ph::obs

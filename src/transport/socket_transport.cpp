@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <utility>
 
 #include "obs/ops_server.hpp"
@@ -123,6 +124,7 @@ void remove_socket_dir(int parent_fd, const char* name, int dir_fd) {
     ::close(list_fd);
     return;
   }
+  ::rewinddir(dir);  // the dup shares dir_fd's offset with earlier reads
   while (dirent* entry = ::readdir(dir)) {
     const std::string file = entry->d_name;
     if (file == "." || file == ".." || file == kPidFile) continue;
@@ -133,10 +135,64 @@ void remove_socket_dir(int parent_fd, const char* name, int dir_fd) {
   ::unlinkat(parent_fd, name, AT_REMOVEDIR);
 }
 
-/// Removes the rendezvous directories this user's killed runs left behind:
-/// a /tmp/ph_socket_* directory owned by this uid whose recorded pid is
-/// gone (kill(pid, 0) fails with ESRCH). A directory with no pid file, a
-/// live process (or one kill(2) may not signal) or another owner is left
+/// A pid-less rendezvous directory is debris only once it is this old: a
+/// live transport writes its pid right after making the directory, and
+/// older builds never wrote one.
+constexpr time_t kPidlessGraceS = 10 * 60;
+
+/// True when the directory `path` (open as `dir_fd`) holds at least one
+/// socket file and every one refuses connect() with ECONNREFUSED, which
+/// means nothing is bound to it any more. A live socket of the other type
+/// answers EPROTOTYPE and a full listener EAGAIN; both count as alive.
+bool holds_only_dead_sockets(const std::string& path, int dir_fd) {
+  const int list_fd = ::dup(dir_fd);
+  if (list_fd < 0) return false;
+  DIR* dir = ::fdopendir(list_fd);
+  if (dir == nullptr) {
+    ::close(list_fd);
+    return false;
+  }
+  ::rewinddir(dir);
+  std::size_t sockets = 0;
+  bool all_dead = true;
+  while (dirent* entry = ::readdir(dir)) {
+    struct stat st {};
+    if (::fstatat(dir_fd, entry->d_name, &st, AT_SYMLINK_NOFOLLOW) != 0 ||
+        !S_ISSOCK(st.st_mode)) {
+      continue;
+    }
+    ++sockets;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    const std::string file = path + "/" + entry->d_name;
+    const int fd =
+        ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (file.size() >= sizeof(addr.sun_path) || fd < 0) {
+      if (fd >= 0) ::close(fd);
+      all_dead = false;
+      break;
+    }
+    std::memcpy(addr.sun_path, file.c_str(), file.size() + 1);
+    const int rc =
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+    const int err = errno;
+    ::close(fd);
+    if (rc == 0 || err != ECONNREFUSED) {
+      all_dead = false;
+      break;
+    }
+  }
+  ::closedir(dir);
+  return sockets > 0 && all_dead;
+}
+
+/// Removes the rendezvous directories this user's killed runs left behind,
+/// among the /tmp/ph_socket_* directories owned by this uid:
+///  - one whose recorded pid is gone (kill(pid, 0) fails with ESRCH);
+///  - one with no pid file at all, more than kPidlessGraceS old, that
+///    holds at least one socket file and only dead ones.
+/// Any other directory (a live or unsignalable process, a malformed pid
+/// file, another owner, a fresh or socketless pid-less one) is left
 /// alone. Pids are looked up in this process's pid namespace, so
 /// processes that share /tmp across pid namespaces should each set
 /// socket_dir.
@@ -144,6 +200,7 @@ void sweep_dead_socket_dirs() {
   DIR* parent = ::opendir(kSocketDirParent);
   if (parent == nullptr) return;
   const uid_t uid = ::geteuid();
+  const time_t now = ::time(nullptr);
   while (dirent* entry = ::readdir(parent)) {
     if (std::strncmp(entry->d_name, kSocketDirPrefix,
                      sizeof(kSocketDirPrefix) - 1) != 0) {
@@ -154,12 +211,23 @@ void sweep_dead_socket_dirs() {
                  O_RDONLY | O_DIRECTORY | O_NOFOLLOW | O_CLOEXEC);
     if (dir_fd < 0) continue;
     struct stat st {};
-    const pid_t pid =
-        ::fstat(dir_fd, &st) == 0 && st.st_uid == uid ? recorded_pid(dir_fd)
-                                                       : 0;
-    if (pid > 0 && ::kill(pid, 0) != 0 && errno == ESRCH) {
-      remove_socket_dir(::dirfd(parent), entry->d_name, dir_fd);
+    if (::fstat(dir_fd, &st) != 0 || st.st_uid != uid) {
+      ::close(dir_fd);
+      continue;
     }
+    bool dead = false;
+    if (const pid_t pid = recorded_pid(dir_fd); pid > 0) {
+      dead = ::kill(pid, 0) != 0 && errno == ESRCH;
+    } else if (struct stat pid_st {};
+               ::fstatat(dir_fd, kPidFile, &pid_st, AT_SYMLINK_NOFOLLOW) !=
+                   0 &&
+               errno == ENOENT) {
+      dead = now - st.st_mtime > kPidlessGraceS &&
+             holds_only_dead_sockets(std::string(kSocketDirParent) + "/" +
+                                         entry->d_name,
+                                     dir_fd);
+    }
+    if (dead) remove_socket_dir(::dirfd(parent), entry->d_name, dir_fd);
     ::close(dir_fd);
   }
   ::closedir(parent);

@@ -14,6 +14,8 @@
 // recycled blocks — the exact bug class manual pooling usually hides.
 #pragma once
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -146,6 +148,46 @@ class Arena {
   std::size_t current_ = 0;
   std::uint64_t epoch_ = 0;
   std::uint64_t bytes_allocated_ = 0;
+};
+
+/// Allocator for large vectors that live as long as one simulated world,
+/// such as a flight-recorder journal: the storage is mapped straight from
+/// the kernel and unmapped when freed, never carved from malloc's heap.
+/// Freeing a multi-megabyte block that malloc had mapped raises glibc's
+/// dynamic mmap threshold to that block's size (up to 32 MiB); from then
+/// on every smaller block, the next world's journal included, comes from
+/// the brk heap, whose freed pages the process keeps. ASan builds use
+/// operator new instead, so ASan still checks the storage.
+template <class T>
+struct MappedAllocator {
+  using value_type = T;
+
+  MappedAllocator() noexcept = default;
+  template <class U>
+  MappedAllocator(const MappedAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+#if defined(PH_HAS_ASAN)
+    return std::allocator<T>{}.allocate(n);
+#else
+    void* p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(p);
+#endif
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+#if defined(PH_HAS_ASAN)
+    std::allocator<T>{}.deallocate(p, n);
+#else
+    ::munmap(p, n * sizeof(T));
+#endif
+  }
+
+  friend bool operator==(const MappedAllocator&,
+                         const MappedAllocator&) noexcept {
+    return true;
+  }
 };
 
 class BufferPool;

@@ -6,10 +6,13 @@
 // associative/commutative cross-shard merges (EventProfiler::merge_from
 // and merge_folded, empty-shard edge case included), the strict folded
 // parser, the slow-event watchdog, and the Mode 2 sampler's ring +
-// retired-thread lifecycle.
+// retired-thread lifecycle, also with its sampler thread running.
 #include "obs/prof.hpp"
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -274,6 +277,46 @@ TEST(ProfWallProfiler, SamplesScopesAndRetainsRetiredThreads) {
   // Unregistered threads are no longer sampled.
   profiler.sample_once();
   EXPECT_EQ(profiler.folded(), live);
+}
+
+// The sampler thread reads another thread's span stack while that thread
+// pushes and pops scopes: the cross-thread path the TSan smoke exercises.
+TEST(ProfWallProfiler, SamplerThreadReadsAWorkingThreadsScopes) {
+  WallProfilerConfig config;
+  config.interval_us = 500;
+  config.ring_capacity = 256;
+  WallProfiler profiler(config);
+  std::atomic<bool> registered{false};
+  std::atomic<bool> done{false};
+  std::thread worker([&] {
+    profiler.register_thread("worker");
+    registered.store(true);
+    while (!done.load()) {
+      const Scope outer(Center::parallel_window);
+      const Scope inner(Center::parallel_merge);
+      std::this_thread::yield();
+    }
+    profiler.unregister_thread();
+  });
+  while (!registered.load()) std::this_thread::yield();
+  profiler.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (profiler.samples_taken() < 20 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  profiler.stop();
+  done.store(true);
+  worker.join();
+
+  EXPECT_GE(profiler.samples_taken(), 20u);
+  std::uint64_t worker_samples = 0;
+  for (const auto& [stack, count] : profiler.folded()) {
+    EXPECT_EQ(stack.rfind("worker", 0), 0u) << stack;
+    worker_samples += count;
+  }
+  EXPECT_GE(worker_samples, 20u);
 }
 
 }  // namespace

@@ -43,6 +43,29 @@ TEST(Registry, FindReturnsNullForAbsentNames) {
   EXPECT_EQ(registry.find_histogram("a"), nullptr);
 }
 
+TEST(Registry, GenerationCountsCreationsOnly) {
+  Registry registry;
+  EXPECT_EQ(registry.generation(), 0u);
+  registry.counter("a.frames");
+  registry.gauge("a.depth");
+  registry.histogram("a.latency_us");
+  EXPECT_EQ(registry.generation(), 3u);
+  // Looking up existing names, by handle or read-only, creates nothing.
+  registry.counter("a.frames").inc();
+  registry.gauge("a.depth").set(2.0);
+  registry.histogram("a.latency_us").observe(5.0);
+  (void)registry.find_counter("a.frames");
+  (void)registry.find_gauge("absent");
+  (void)registry.snapshot("a.");
+  EXPECT_EQ(registry.generation(), 3u);
+  // A merge bumps only for the instruments it creates.
+  Registry other;
+  other.counter("a.frames").inc(4);
+  other.counter("b.frames").inc(1);
+  registry.merge_from(other);
+  EXPECT_EQ(registry.generation(), 4u);
+}
+
 TEST(RegistryDeathTest, NameKindCollisionAborts) {
   Registry registry;
   registry.counter("community.groups.joins");

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "eval/scenarios.hpp"
 #include "net/medium.hpp"
+#include "reference_sampler.hpp"
 #include "sim/simulator.hpp"
 
 namespace ph::obs {
@@ -213,6 +216,80 @@ TEST(SamplerTest, AllocationsStayOrderSeriesOverScenario) {
     }
   }
   EXPECT_TRUE(saw_nonempty_daemon_series);
+}
+
+// The bound scrape against the name-lookup oracle: 40 scrapes at ring
+// capacity 8 (so every ring wraps), uneven intervals and a repeated stamp,
+// a counter, a gauge and a histogram registered between scrapes with names
+// that sort between the bound ones, and histogram intervals with no
+// observations (their quantile series skip those scrapes). Every series,
+// stamps included, must match point for point after every scrape.
+TEST(Sampler, BoundScrapeMatchesNameLookupOracle) {
+  Registry registry;
+  Counter& frames = registry.counter("b.frames");
+  Counter& drops = registry.counter("d.drops");
+  Gauge& depth = registry.gauge("b.depth");
+  Histogram& latency = registry.histogram("b.latency_us");
+  const SamplerConfig config{.interval_us = kTick, .capacity = 8};
+  Sampler sampler(registry, config);
+  testing::ReferenceSampler oracle(registry, config);
+
+  Counter* late_counter = nullptr;
+  Gauge* late_gauge = nullptr;
+  Histogram* late_hist = nullptr;
+  std::uint64_t lcg = 12345;
+  const auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  };
+
+  TimePoint now = 0;
+  for (int scrape = 0; scrape < 40; ++scrape) {
+    if (scrape == 5) late_counter = &registry.counter("c.late_frames");
+    if (scrape == 11) late_gauge = &registry.gauge("a.late_depth");
+    if (scrape == 17) {
+      late_hist = &registry.histogram("c.late_us", {10, 100, 1000});
+    }
+    frames.inc(next() % 50);
+    if (scrape % 3 == 0) drops.inc(next() % 4);
+    depth.set(static_cast<double>(next() % 1000) / 8.0);
+    // Every fourth interval sees no latency observation.
+    if (scrape % 4 != 1) {
+      for (std::uint64_t n = next() % 6 + 1; n > 0; --n) {
+        latency.observe(static_cast<double>(next() % 3'000'000));
+      }
+    }
+    if (late_counter != nullptr) late_counter->inc(next() % 7);
+    if (late_gauge != nullptr) late_gauge->add(1.5);
+    if (late_hist != nullptr && scrape % 5 < 2) {
+      late_hist->observe(static_cast<double>(next() % 2000));
+    }
+    // Uneven intervals; scrape 23 repeats the previous stamp.
+    if (scrape != 23) now += kTick / 2 + (next() % 4) * kTick / 4;
+    sampler.sample(now);
+    oracle.sample(now);
+
+    ASSERT_EQ(sampler.series().size(), oracle.series().size()) << scrape;
+    for (const auto& [name, expected] : oracle.series()) {
+      const TimeSeries* got = sampler.find(name);
+      ASSERT_NE(got, nullptr) << name << " at scrape " << scrape;
+      EXPECT_EQ(got->kind(), expected.kind) << name;
+      ASSERT_EQ(got->size(), expected.points.size())
+          << name << " at scrape " << scrape;
+      EXPECT_EQ(got->total_points(), expected.total) << name;
+      for (std::size_t i = 0; i < got->size(); ++i) {
+        EXPECT_EQ(got->at(i).at, expected.points[i].at)
+            << name << "[" << i << "] at scrape " << scrape;
+        EXPECT_EQ(got->at(i).value, expected.points[i].value)
+            << name << "[" << i << "] at scrape " << scrape;
+      }
+    }
+  }
+  // The rings wrapped, and some quantile intervals were skipped.
+  EXPECT_EQ(sampler.find("b.frames.rate")->evicted(), 31u);
+  EXPECT_LT(sampler.find("b.latency_us.p50")->total_points(),
+            sampler.find("b.latency_us.rate")->total_points());
+  EXPECT_EQ(sampler.allocations(), sampler.series().size());
 }
 
 }  // namespace

@@ -140,6 +140,50 @@ TEST_F(SloFixture, MissingSeriesAbstains) {
   EXPECT_EQ(slo.total_breaches(), 0u);
 }
 
+// A rule may be added before its series exists: it abstains until the
+// instrument is registered and scraped, then binds to the new series and
+// follows it from that scrape on.
+TEST(SloEngine, RuleOnLateSeriesBindsWhenBorn) {
+  Registry registry;
+  registry.counter("early.frames").inc();
+  Sampler sampler(registry);
+  SloEngine slo(sampler, registry);
+  slo.add_rule({.name = "deep",
+                .series = "late.depth",
+                .aggregate = SloAggregate::max,
+                .comparison = SloComparison::above,
+                .threshold = 5.0,
+                .window_us = 2 * kTick});
+  for (TimePoint t = 1; t <= 3; ++t) {
+    sampler.sample(t * kTick);
+    slo.evaluate(t * kTick);
+  }
+  EXPECT_EQ(sampler.find("late.depth"), nullptr);
+  EXPECT_TRUE(slo.windows().empty());
+
+  Gauge& depth = registry.gauge("late.depth");
+  depth.set(7.0);
+  sampler.sample(4 * kTick);
+  slo.evaluate(4 * kTick);
+  EXPECT_TRUE(slo.breached("deep"));
+  ASSERT_EQ(slo.windows().size(), 1u);
+  EXPECT_EQ(slo.windows()[0].start, 4 * kTick);
+
+  // Later instruments are created between scrapes; the rule keeps
+  // following its own series through the sampler's rebinds.
+  depth.set(1.0);
+  registry.gauge("a.before").set(9.0);
+  registry.counter("z.after").inc();
+  sampler.sample(5 * kTick);
+  slo.evaluate(5 * kTick);
+  EXPECT_TRUE(slo.breached("deep"));  // 7.0 still inside the window
+  sampler.sample(7 * kTick);
+  slo.evaluate(7 * kTick);
+  EXPECT_FALSE(slo.breached("deep"));
+  EXPECT_EQ(slo.windows()[0].end, 7 * kTick);
+  EXPECT_EQ(slo.total_breaches(), 1u);
+}
+
 TEST_F(SloFixture, OnBreachHandlerAndTraceEventsFire) {
   Gauge& g = registry.gauge("x");
   std::vector<std::string> fired;

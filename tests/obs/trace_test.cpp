@@ -8,6 +8,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "obs/export.hpp"
 #include "obs/json.hpp"
@@ -213,6 +216,61 @@ TEST(Trace, ClearResetsJournal) {
   EXPECT_TRUE(trace.spans().empty());
   EXPECT_TRUE(trace.events().empty());
   EXPECT_NE(trace.begin_span("b", 3), 0u);
+}
+
+// Records keep views of one stored copy of each text: a caller's buffer
+// may be overwritten as soon as the call returns, and the views stay
+// readable across ring eviction and clear().
+TEST(Trace, InternedTextSurvivesEvictionAndClear) {
+  Trace trace;
+  trace.set_enabled(true);
+  trace.set_ring_capacity(4);
+  std::string name;
+  std::string kind;
+  for (int i = 0; i < 100; ++i) {
+    name = "op.";
+    name += std::to_string(i % 3);
+    kind = i % 2 == 0 ? "even" : "odd";
+    trace.begin_span(name, static_cast<TimePoint>(i), 1, kind);
+    trace.add_event(name, static_cast<TimePoint>(i));
+    name.assign(40, 'x');  // overwrite, past the small-string buffer
+    kind.assign(40, 'y');
+  }
+  EXPECT_GT(trace.evicted(), 0u);
+  const auto expected_name = [](const Span& span) {
+    return "op." + std::to_string((span.id - 1) % 3);
+  };
+  std::vector<Span> kept(trace.spans().begin(), trace.spans().end());
+  ASSERT_GE(kept.size(), 4u);
+  for (const Span& span : kept) {
+    EXPECT_EQ(span.name, expected_name(span)) << span.id;
+    EXPECT_EQ(span.kind, (span.id - 1) % 2 == 0 ? "even" : "odd");
+  }
+  // Equal texts share one address: spans three ids apart have one name.
+  EXPECT_EQ(kept[0].name.data(), kept[3].name.data());
+  EXPECT_EQ(kept[0].kind.data(), kept[2].kind.data());
+  // Spans and events share the store.
+  for (const TraceEvent& event : trace.events()) {
+    if (event.name == kept[0].name) {
+      EXPECT_EQ(event.name.data(), kept[0].name.data());
+    }
+  }
+
+  trace.clear();
+  EXPECT_TRUE(trace.spans().empty());
+  for (const Span& span : kept) {
+    EXPECT_EQ(span.name, expected_name(span)) << span.id;
+  }
+  // The store outlives clear(): a text seen before maps to the same copy.
+  name = "op.0";
+  trace.begin_span(name, 200);
+  std::string_view op0;
+  for (const Span& span : kept) {
+    if (span.name == "op.0") op0 = span.name;
+  }
+  ASSERT_EQ(op0, "op.0");
+  ASSERT_EQ(trace.spans().size(), 1u);
+  EXPECT_EQ(trace.spans()[0].name.data(), op0.data());
 }
 
 TEST(Export, JsonRoundTripsThroughReader) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -32,6 +33,7 @@
 #include "sim/simulator.hpp"
 #include "tests/testutil/flight_guard.hpp"
 #include "transport/socket_transport.hpp"
+#include "util/check.hpp"
 
 namespace ph::transport {
 namespace {
@@ -1019,6 +1021,80 @@ TEST(SocketDebris, KilledRunsDirectoryIsRemovedByTheNextTransport) {
   EXPECT_NE(::stat(dir.c_str(), &st), 0)
       << dir << " survived the next transport's construction";
   EXPECT_EQ(::stat(next.socket_dir().c_str(), &st), 0);
+}
+
+/// A pid-less rendezvous directory as builds before pid files left it:
+/// /tmp/ph_socket_* holding `dead_sockets` socket files whose sockets were
+/// bound and closed again, plus one still listening when `live_listener`.
+struct PidlessDir {
+  std::string path;
+  std::vector<std::string> files;
+  std::vector<int> live_fds;
+
+  explicit PidlessDir(int dead_sockets, bool live_listener = false) {
+    std::string tmpl = "/tmp/ph_socket_XXXXXX";
+    PH_CHECK(::mkdtemp(tmpl.data()) != nullptr);
+    path = tmpl;
+    for (int i = 0; i < dead_sockets + (live_listener ? 1 : 0); ++i) {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+      PH_CHECK(fd >= 0);
+      sockaddr_un addr{};
+      addr.sun_family = AF_UNIX;
+      const std::string file =
+          path + "/d" + std::to_string(i + 1) + ".t0.stream";
+      std::memcpy(addr.sun_path, file.c_str(), file.size() + 1);
+      PH_CHECK(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)) == 0);
+      PH_CHECK(::listen(fd, 4) == 0);
+      files.push_back(file);
+      if (i < dead_sockets) {
+        ::close(fd);  // the file stays, nothing is bound to it
+      } else {
+        live_fds.push_back(fd);
+      }
+    }
+  }
+  ~PidlessDir() {
+    // Whatever the sweep under test kept.
+    for (int fd : live_fds) ::close(fd);
+    for (const std::string& file : files) ::unlink(file.c_str());
+    ::rmdir(path.c_str());
+  }
+  /// Moves the directory's mtime an hour into the past.
+  void backdate() const {
+    timespec times[2];
+    times[0].tv_sec = times[1].tv_sec = ::time(nullptr) - 3600;
+    times[0].tv_nsec = times[1].tv_nsec = 0;
+    PH_CHECK(::utimensat(AT_FDCWD, path.c_str(), times, 0) == 0);
+  }
+  bool exists() const {
+    struct stat st {};
+    return ::stat(path.c_str(), &st) == 0;
+  }
+};
+
+TEST(SocketDebris, PidlessDirectoryWithDeadSocketsIsRemoved) {
+  const PidlessDir debris(2);
+  debris.backdate();
+  ASSERT_TRUE(debris.exists());
+  SocketTransport next{SocketTransportConfig{}};
+  EXPECT_FALSE(debris.exists())
+      << debris.path << " survived the next transport's construction";
+}
+
+TEST(SocketDebris, PidlessDirectoryWithALiveListenerIsKept) {
+  const PidlessDir in_use(1, /*live_listener=*/true);
+  in_use.backdate();
+  SocketTransport next{SocketTransportConfig{}};
+  EXPECT_TRUE(in_use.exists())
+      << in_use.path << " holds a live listener but was removed";
+}
+
+TEST(SocketDebris, FreshPidlessDirectoryIsKept) {
+  const PidlessDir fresh(2);
+  SocketTransport next{SocketTransportConfig{}};
+  EXPECT_TRUE(fresh.exists())
+      << fresh.path << " is younger than the grace period but was removed";
 }
 
 }  // namespace
